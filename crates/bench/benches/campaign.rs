@@ -6,7 +6,11 @@
 //!   workers under the default `NullSink` (the production hot path);
 //! * `campaign/workers1_recorded` — the same serial campaign with a
 //!   live `spe_telemetry::Recorder` installed, pinning the
-//!   instrumentation overhead next to the uninstrumented number.
+//!   instrumentation overhead next to the uninstrumented number;
+//! * `campaign_wrong_code/workersN` — the Table-4 trunk matrix with the
+//!   differential wrong-code oracle on, at 1 and 2 workers: here the
+//!   pass pipeline, lowering, the VM and the reference interpreter carry
+//!   the time instead of splicing.
 //!
 //! After timing, one instrumented pass prints the throughput summary
 //! the incremental-oracle ROADMAP item is measured against: end-to-end
@@ -45,6 +49,54 @@ fn workload() -> (Vec<TestFile>, CampaignConfig) {
         fuel: 20_000,
     };
     (files, config)
+}
+
+/// The Table-4 workload at a CI-sized budget: the same corpus against
+/// the trunk matrix with wrong-code checks on.
+fn wrong_code_workload() -> (Vec<TestFile>, CampaignConfig) {
+    let (files, _) = workload();
+    let config = CampaignConfig {
+        compilers: vec![
+            Compiler::new(CompilerId::gcc(700), 0),
+            Compiler::new(CompilerId::gcc(700), 1),
+            Compiler::new(CompilerId::gcc(700), 2),
+            Compiler::new(CompilerId::gcc(700), 3),
+            Compiler::new(CompilerId::clang(390), 0),
+            Compiler::new(CompilerId::clang(390), 2),
+            Compiler::new(CompilerId::clang(390), 3),
+        ],
+        budget: 50,
+        algorithm: spe_core::Algorithm::Paper,
+        check_wrong_code: true,
+        fuel: 20_000,
+    };
+    (files, config)
+}
+
+fn bench_wrong_code(c: &mut Criterion) {
+    let (files, config) = wrong_code_workload();
+    let report = run_campaign_parallel(&files, &config, 1);
+    eprintln!(
+        "wrong-code workload: {} observations, {} findings",
+        report.variants_tested,
+        report.findings.len(),
+    );
+    let mut group = c.benchmark_group("campaign_wrong_code");
+    group.sample_size(10);
+    for workers in [1usize, 2] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("workers{workers}")),
+            &workers,
+            |b, &workers| {
+                b.iter(|| {
+                    criterion::black_box(
+                        run_campaign_parallel(&files, &config, workers).variants_tested,
+                    )
+                })
+            },
+        );
+    }
+    group.finish();
 }
 
 fn bench_campaign(c: &mut Criterion) {
@@ -133,5 +185,5 @@ fn bench_campaign(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_campaign);
+criterion_group!(benches, bench_campaign, bench_wrong_code);
 criterion_main!(benches);

@@ -6,8 +6,6 @@
 //! harness accumulates coverage across many test programs and reports the
 //! same two percentages the paper plots.
 
-use std::collections::HashSet;
-
 /// The static universe of passes and their point counts. The exact
 /// numbers act as "lines per function"; they only need to be stable.
 pub const PASS_POINTS: &[(&str, u32)] = &[
@@ -31,10 +29,33 @@ pub const PASS_POINTS: &[(&str, u32)] = &[
     ("gimple", 4096),
 ];
 
-/// A set of hit coverage points.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Bit offset of each pass's first point in the [`Coverage`] bitset.
+const OFFSETS: [u32; PASS_POINTS.len()] = {
+    let mut offsets = [0; PASS_POINTS.len()];
+    let mut i = 1;
+    while i < PASS_POINTS.len() {
+        offsets[i] = offsets[i - 1] + PASS_POINTS[i - 1].1;
+        i += 1;
+    }
+    offsets
+};
+
+/// Total number of coverage points across all passes.
+const TOTAL_POINTS: u32 = OFFSETS[PASS_POINTS.len() - 1] + PASS_POINTS[PASS_POINTS.len() - 1].1;
+
+const WORDS: usize = TOTAL_POINTS.div_ceil(64) as usize;
+
+/// A set of hit coverage points: one bit per point of [`PASS_POINTS`],
+/// passes laid out in declaration order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coverage {
-    hits: HashSet<(&'static str, u32)>,
+    bits: [u64; WORDS],
+}
+
+impl Default for Coverage {
+    fn default() -> Coverage {
+        Coverage { bits: [0; WORDS] }
+    }
 }
 
 impl Coverage {
@@ -46,19 +67,28 @@ impl Coverage {
     /// Records that `point` of `pass` executed. Unknown passes or points
     /// beyond the declared count are ignored (defensive).
     pub fn hit(&mut self, pass: &'static str, point: u32) {
-        if PASS_POINTS.iter().any(|&(p, n)| p == pass && point < n) {
-            self.hits.insert((pass, point));
+        if let Some(i) = PASS_POINTS.iter().position(|&(p, _)| p == pass) {
+            if point < PASS_POINTS[i].1 {
+                let bit = (OFFSETS[i] + point) as usize;
+                self.bits[bit / 64] |= 1 << (bit % 64);
+            }
         }
+    }
+
+    fn is_hit(&self, bit: u32) -> bool {
+        self.bits[bit as usize / 64] & (1 << (bit % 64)) != 0
     }
 
     /// Merges another run's coverage into this one.
     pub fn merge(&mut self, other: &Coverage) {
-        self.hits.extend(other.hits.iter().copied());
+        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
+            *w |= o;
+        }
     }
 
     /// Number of distinct points hit.
     pub fn points_hit(&self) -> usize {
-        self.hits.len()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Fraction of passes with at least one hit — the paper's "function
@@ -72,15 +102,15 @@ impl Coverage {
     pub fn function_coverage(&self) -> f64 {
         let covered = PASS_POINTS
             .iter()
-            .filter(|&&(p, _)| self.hits.iter().any(|&(hp, _)| hp == p))
+            .zip(OFFSETS)
+            .filter(|&(&(_, n), off)| (off..off + n).any(|bit| self.is_hit(bit)))
             .count();
         covered as f64 / PASS_POINTS.len() as f64
     }
 
     /// Fraction of all points hit — the paper's "line coverage".
     pub fn line_coverage(&self) -> f64 {
-        let total: u32 = PASS_POINTS.iter().map(|&(_, n)| n).sum();
-        self.hits.len() as f64 / total as f64
+        self.points_hit() as f64 / TOTAL_POINTS as f64
     }
 }
 
@@ -121,6 +151,45 @@ mod tests {
         b.hit("fold", 0);
         a.merge(&b);
         assert_eq!(a.points_hit(), 2);
+    }
+
+    #[test]
+    fn empty_merge_equals_new() {
+        let mut c = Coverage::new();
+        c.merge(&Coverage::new());
+        assert_eq!(c, Coverage::new());
+        assert_eq!(Coverage::new(), Coverage::default());
+    }
+
+    #[test]
+    fn equality_ignores_hit_order_and_repeats() {
+        let mut a = Coverage::new();
+        for (p, n) in [("fold", 3), ("gimple", 4095), ("fold", 3), ("parse", 0)] {
+            a.hit(p, n);
+        }
+        let mut b = Coverage::new();
+        for (p, n) in [("parse", 0), ("gimple", 4095), ("fold", 3)] {
+            b.hit(p, n);
+        }
+        assert_eq!(a, b);
+        assert_eq!(a.points_hit(), 3);
+        b.hit("dce", 0);
+        assert_ne!(a, b);
+        // Ignored hits leave the set unchanged.
+        a.hit("fold", 30);
+        a.hit("nonexistent", 0);
+        assert_eq!(a.points_hit(), 3);
+    }
+
+    #[test]
+    fn last_point_of_each_pass_stays_in_its_pass() {
+        for (i, &(p, n)) in PASS_POINTS.iter().enumerate() {
+            let mut c = Coverage::new();
+            c.hit(p, n - 1);
+            assert_eq!(c.points_hit(), 1, "{p}");
+            assert_eq!(c.function_coverage(), 1.0 / PASS_POINTS.len() as f64, "{p}");
+            assert!(c.is_hit(OFFSETS[i] + n - 1));
+        }
     }
 
     #[test]

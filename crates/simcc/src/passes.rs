@@ -37,11 +37,11 @@ impl PassCtx<'_> {
 /// Runs the optimization pipeline for the configured level, returning the
 /// transformed program.
 pub fn optimize(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
-    let mut prog = p.clone();
-    if ctx.opt >= 1 {
-        prog = fold_pass(&prog, ctx);
-        prog = dce_pass(&prog, ctx);
+    if ctx.opt == 0 {
+        return p.clone();
     }
+    let mut prog = fold_pass(p, ctx);
+    prog = dce_pass(&prog, ctx);
     if ctx.opt >= 2 {
         prog = ccp_pass(&prog, ctx);
         prog = alias_pass(&prog, ctx);
@@ -52,13 +52,21 @@ pub fn optimize(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
     prog
 }
 
-fn map_functions(p: &Program, mut f: impl FnMut(&Function) -> Function) -> Program {
+/// Rebuilds `p` with every function body replaced by `body(function)`;
+/// only the other function fields are cloned.
+fn map_functions(p: &Program, mut body: impl FnMut(&Function) -> Vec<Stmt>) -> Program {
     Program {
         items: p
             .items
             .iter()
             .map(|i| match i {
-                Item::Func(func) => Item::Func(f(func)),
+                Item::Func(f) => Item::Func(Function {
+                    name: f.name.clone(),
+                    ret: f.ret.clone(),
+                    params: f.params.clone(),
+                    body: body(f),
+                    is_static: f.is_static,
+                }),
                 other => other.clone(),
             })
             .collect(),
@@ -71,10 +79,7 @@ fn map_functions(p: &Program, mut f: impl FnMut(&Function) -> Function) -> Progr
 
 fn fold_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
     ctx.coverage.hit("fold", 0);
-    map_functions(p, |f| Function {
-        body: f.body.iter().map(|s| fold_stmt(s, ctx)).collect(),
-        ..f.clone()
-    })
+    map_functions(p, |f| f.body.iter().map(|s| fold_stmt(s, ctx)).collect())
 }
 
 fn fold_stmt(s: &Stmt, ctx: &mut PassCtx<'_>) -> Stmt {
@@ -135,8 +140,8 @@ fn fold_expr(e: &Expr, ctx: &mut PassCtx<'_>) -> Expr {
     // repeat inside one expression, steering the folder down different
     // canonicalization paths.
     {
-        let mut names: Vec<String> = Vec::new();
-        e.for_each_ident(&mut |id| names.push(id.name.clone()));
+        let mut names: Vec<&str> = Vec::new();
+        e.for_each_ident(&mut |id| names.push(&id.name));
         if !names.is_empty() {
             let total = names.len();
             names.sort();
@@ -300,10 +305,7 @@ fn dce_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
     ctx.coverage.hit("dce", 0);
     map_functions(p, |f| {
         let has_back_goto = function_has_backward_goto(&f.body);
-        Function {
-            body: dce_stmts(&f.body, ctx, has_back_goto, false),
-            ..f.clone()
-        }
+        dce_stmts(&f.body, ctx, has_back_goto, false)
     })
 }
 
@@ -435,10 +437,7 @@ fn ccp_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
         let mut addressed = HashSet::new();
         collect_addressed(&f.body, &mut addressed);
         let mut consts: HashMap<String, i64> = HashMap::new();
-        Function {
-            body: ccp_stmts(&f.body, &mut consts, &addressed, ctx),
-            ..f.clone()
-        }
+        ccp_stmts(&f.body, &mut consts, &addressed, ctx)
     })
 }
 
@@ -661,19 +660,25 @@ fn contains_write(e: &Expr) -> bool {
 
 fn ccp_expr(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) -> Expr {
     // The gcc-samevar6-wc defect: in expressions reading one variable
-    // many times, the (buggy) propagator replaces the reads with 0.
-    let mut names = Vec::new();
-    e.for_each_ident(&mut |id| names.push(id.name.clone()));
-    let mut counts: HashMap<&str, usize> = HashMap::new();
-    for n in &names {
-        *counts.entry(n.as_str()).or_insert(0) += 1;
-    }
-    if let Some((&worst, _)) = counts.iter().max_by_key(|(_, &c)| c) {
-        if counts[worst] >= 6 {
-            if let Some(id) = ctx.bug_active(Trigger::SameVarTimes(6)) {
+    // many times, the (buggy) propagator replaces the reads with 0. The
+    // read census feeds nothing else, so it runs only under the defect.
+    if let Some(id) = ctx.bug_active(Trigger::SameVarTimes(6)) {
+        // Counts in first-read order: a tie goes to the variable read
+        // first, the same on every run (a hash map's order would not be).
+        let mut counts: Vec<(&str, usize)> = Vec::new();
+        e.for_each_ident(
+            &mut |ident| match counts.iter_mut().find(|(name, _)| *name == ident.name) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((&ident.name, 1)),
+            },
+        );
+        let most = counts
+            .into_iter()
+            .reduce(|best, c| if c.1 > best.1 { c } else { best });
+        if let Some((worst, n)) = most {
+            if n >= 6 {
                 ctx.miscompiled_by.push(id);
-                let zeroed = replace_var_reads(e, worst);
-                return zeroed;
+                return replace_var_reads(e, worst);
             }
         }
     }
@@ -774,10 +779,7 @@ fn subst_consts(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) 
 fn alias_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
     ctx.coverage.hit("alias", 0);
     let bug = ctx.bug_active(Trigger::AliasedPointerStores);
-    map_functions(p, |f| Function {
-        body: alias_stmts(&f.body, bug, ctx),
-        ..f.clone()
-    })
+    map_functions(p, |f| alias_stmts(&f.body, bug, ctx))
 }
 
 fn is_deref_store(s: &Stmt) -> Option<&str> {
@@ -832,9 +834,8 @@ fn alias_stmts(stmts: &[Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>)
 fn loop_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
     ctx.coverage.hit("loop", 0);
     let bug = ctx.bug_active(Trigger::SelfIndexedArray);
-    map_functions(p, |f| Function {
-        body: f.body.iter().map(|s| loop_stmt(s, bug, ctx)).collect(),
-        ..f.clone()
+    map_functions(p, |f| {
+        f.body.iter().map(|s| loop_stmt(s, bug, ctx)).collect()
     })
 }
 
@@ -875,8 +876,8 @@ fn vectorize_expr(e: &Expr, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) ->
     match &e.kind {
         ExprKind::Assign(op, lhs, rhs) => {
             if let ExprKind::Index(base, idx) = &lhs.kind {
-                let mut names = Vec::new();
-                idx.for_each_ident(&mut |id| names.push(id.name.clone()));
+                let mut names: Vec<&str> = Vec::new();
+                idx.for_each_ident(&mut |id| names.push(&id.name));
                 names.sort();
                 let self_indexed = names.windows(2).any(|w| w[0] == w[1]);
                 if self_indexed {
@@ -1036,6 +1037,57 @@ mod tests {
         };
         optimize(&p, &mut ctx3);
         assert!(cov3.points_hit() > cov0.points_hit());
+    }
+
+    /// Optimizes `src` at `level` with the registry's wrong-code defects
+    /// named in `bugs` active.
+    fn opt_with_bugs(src: &str, level: u8, bugs: &[&str]) -> (String, Vec<&'static str>) {
+        let regs = registry();
+        let prog = parse(src).expect("parses");
+        let mut cov = Coverage::new();
+        let mut ctx = PassCtx {
+            opt: level,
+            wrong_code: regs.iter().filter(|b| bugs.contains(&b.id)).collect(),
+            coverage: &mut cov,
+            miscompiled_by: Vec::new(),
+        };
+        assert_eq!(ctx.wrong_code.len(), bugs.len(), "unknown bug in {bugs:?}");
+        let out = print_program(&optimize(&prog, &mut ctx));
+        (out, ctx.miscompiled_by)
+    }
+
+    #[test]
+    fn samevar6_bug_zeroes_reads_only_when_active_and_triggered() {
+        let six = "int a; int main() { int b; b = a + a * a - a + a + a; return b; }";
+        let (out, by) = opt_with_bugs(six, 2, &["gcc-samevar6-wc"]);
+        assert!(out.contains("b = 0 + 0 * 0 - 0 + 0 + 0;"), "{out}");
+        assert_eq!(by, vec!["gcc-samevar6-wc"]);
+        // Two variables read six times each: the one read first is zeroed.
+        let tie = "int a, b; int main() { int c; c = b + a + a + b + a + b + a + b + a + b + a + b; return c; }";
+        let (out, _) = opt_with_bugs(tie, 2, &["gcc-samevar6-wc"]);
+        assert!(
+            out.contains("c = 0 + a + a + 0 + a + 0 + a + 0 + a + 0 + a + 0;"),
+            "{out}"
+        );
+
+        // Inactive (another defect is live) or read only five times: the
+        // program is exactly the clean pipeline's output.
+        let clean = |src| opt_with_bugs(src, 2, &[]).0;
+        assert_eq!(
+            opt_with_bugs(six, 2, &["gcc-69951"]),
+            (clean(six), Vec::new())
+        );
+        let five = "int a; int main() { int b; b = a + a * a - a + a; return b; }";
+        assert_eq!(
+            opt_with_bugs(five, 2, &["gcc-samevar6-wc"]),
+            (clean(five), Vec::new())
+        );
+        assert!(clean(five).contains("b = a + a * a - a + a;"));
+        // ccp (and with it the defect) only runs from -O2.
+        assert_eq!(
+            opt_with_bugs(six, 1, &["gcc-samevar6-wc"]),
+            (opt_with_bugs(six, 1, &[]).0, Vec::new())
+        );
     }
 
     #[test]

@@ -341,33 +341,7 @@ impl FnLower<'_> {
                 self.expr(e)?;
                 self.instrs.push(Instr::Pop);
             }
-            Stmt::Decl(decls) => {
-                for d in decls {
-                    let off = self.alloc_local(&d.name, &d.ty)?;
-                    if let Some(init) = &d.init {
-                        if let ExprKind::Call(name, args) = &init.kind {
-                            if name == "__init_list" {
-                                let cells = d.ty.array.map(|n| n.max(1) as usize).unwrap_or(1);
-                                for (i, a) in args.iter().enumerate().take(cells) {
-                                    self.instrs.push(Instr::AddrLocal(off + i as i64));
-                                    self.expr(a)?;
-                                    self.instrs.push(Instr::StoreInd);
-                                }
-                                // Zero the rest, as in C.
-                                for i in args.len()..cells {
-                                    self.instrs.push(Instr::AddrLocal(off + i as i64));
-                                    self.instrs.push(Instr::Push(0));
-                                    self.instrs.push(Instr::StoreInd);
-                                }
-                                continue;
-                            }
-                        }
-                        self.instrs.push(Instr::AddrLocal(off));
-                        self.expr(init)?;
-                        self.instrs.push(Instr::StoreInd);
-                    }
-                }
-            }
+            Stmt::Decl(decls) => self.decls(decls)?,
             Stmt::Block(body) => {
                 self.scopes.push(HashMap::new());
                 let saved = self.next_local;
@@ -426,7 +400,7 @@ impl FnLower<'_> {
                 self.scopes.push(HashMap::new());
                 let saved = self.next_local;
                 match init {
-                    Some(ForInit::Decl(decls)) => self.stmt(&Stmt::Decl(decls.clone()))?,
+                    Some(ForInit::Decl(decls)) => self.decls(decls)?,
                     Some(ForInit::Expr(e)) => {
                         self.expr(e)?;
                         self.instrs.push(Instr::Pop);
@@ -502,6 +476,36 @@ impl FnLower<'_> {
                 self.stmt(inner)?;
             }
             Stmt::Empty => {}
+        }
+        Ok(())
+    }
+
+    /// Allocates and initializes a declaration list (a `Stmt::Decl` or a
+    /// `for` loop's init clause).
+    fn decls(&mut self, decls: &[VarDeclarator]) -> Result<(), LowerError> {
+        for d in decls {
+            let off = self.alloc_local(&d.name, &d.ty)?;
+            let Some(init) = &d.init else { continue };
+            if let ExprKind::Call(name, args) = &init.kind {
+                if name == "__init_list" {
+                    let cells = d.ty.array.map(|n| n.max(1) as usize).unwrap_or(1);
+                    for (i, a) in args.iter().enumerate().take(cells) {
+                        self.instrs.push(Instr::AddrLocal(off + i as i64));
+                        self.expr(a)?;
+                        self.instrs.push(Instr::StoreInd);
+                    }
+                    // Zero the rest, as in C.
+                    for i in args.len()..cells {
+                        self.instrs.push(Instr::AddrLocal(off + i as i64));
+                        self.instrs.push(Instr::Push(0));
+                        self.instrs.push(Instr::StoreInd);
+                    }
+                    continue;
+                }
+            }
+            self.instrs.push(Instr::AddrLocal(off));
+            self.expr(init)?;
+            self.instrs.push(Instr::StoreInd);
         }
         Ok(())
     }
@@ -748,22 +752,29 @@ impl FnLower<'_> {
 
 // ----- the VM ---------------------------------------------------------------
 
+/// Cells of the call stack. This is the *logical* stack size: every
+/// `BadAddress` and `StackOverflow` check uses it, while the physical
+/// memory grows only as far as stores and call frames actually reach.
+const STACK_CELLS: usize = 1 << 16;
+
 /// Executes an image with the given fuel.
 ///
 /// # Errors
 ///
 /// Returns a [`Trap`] on bad addresses, division by zero or timeout.
 pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
+    // Physical memory starts as the globals; stack cells past `mem.len()`
+    // have never been written and read as `STACK_CANARY`.
     let mut mem = image.globals.clone();
     let stack_base = mem.len();
-    mem.resize(stack_base + (1 << 16), STACK_CANARY);
+    let limit = stack_base + STACK_CELLS;
     let mut values: Vec<i64> = Vec::new();
     let mut frames: Vec<(usize, usize)> = Vec::new(); // (return pc, fp)
     let mut output = Vec::new();
 
     let main = &image.funcs[image.main];
     let mut fp = stack_base;
-    // Fill main's frame with canaries (resize above already did).
+    // Main's frame needs no fill: its cells lie past `mem.len()`.
     let mut sp_mem = stack_base + main.frame;
     let mut pc = main.entry;
     let mut remaining = fuel;
@@ -787,17 +798,18 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
             Instr::AddrGlobal(a) => values.push(*a),
             Instr::LoadInd => {
                 let a = pop!();
-                if a < 0 || a as usize >= mem.len() {
+                if a < 0 || a as usize >= limit {
                     return Err(Trap::BadAddress(a));
                 }
-                values.push(mem[a as usize]);
+                values.push(mem.get(a as usize).copied().unwrap_or(STACK_CANARY));
             }
             Instr::StoreInd | Instr::StoreIndPush => {
                 let v = pop!();
                 let a = pop!();
-                if a < 0 || a as usize >= mem.len() {
+                if a < 0 || a as usize >= limit {
                     return Err(Trap::BadAddress(a));
                 }
+                grow(&mut mem, a as usize + 1, limit);
                 mem[a as usize] = v;
                 if matches!(instr, Instr::StoreIndPush) {
                     values.push(v);
@@ -842,14 +854,15 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
                 let f = &image.funcs[*func];
                 let new_fp = sp_mem;
                 let new_sp = new_fp + f.frame;
-                if new_sp > mem.len() {
+                if new_sp > limit {
                     return Err(Trap::StackOverflow);
                 }
-                // Canary-fill the fresh frame.
-                for cell in &mut mem[new_fp..new_sp] {
-                    *cell = STACK_CANARY;
-                }
+                // Canary-fill the fresh frame; a deeper frame that ran
+                // earlier may have left values in it.
+                grow(&mut mem, new_sp, limit);
+                mem[new_fp..new_sp].fill(STACK_CANARY);
                 // Pop arguments into parameter slots (reverse order).
+                grow(&mut mem, new_fp + nargs, limit);
                 for i in (0..*nargs).rev() {
                     let v = pop!();
                     mem[new_fp + i] = v;
@@ -902,6 +915,18 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
                 })
             }
         }
+    }
+}
+
+/// Grows the physical memory to at least `len` cells (never past `limit`),
+/// filling new cells with [`STACK_CANARY`]. Capacity grows geometrically
+/// but is capped at `limit`, so no run allocates more than the full
+/// logical stack.
+fn grow(mem: &mut Vec<i64>, len: usize, limit: usize) {
+    if len > mem.len() {
+        let target = len.max(2 * mem.len()).min(limit);
+        mem.reserve_exact(target - mem.len());
+        mem.resize(target, STACK_CANARY);
     }
 }
 
