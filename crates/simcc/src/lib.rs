@@ -756,6 +756,29 @@ mod tests {
         }
     }
 
+    /// A declaration initializer or assignment right-hand side that
+    /// stores to a propagated global (by a call, an assignment or an
+    /// increment) must not leave the old constant behind for later reads.
+    #[test]
+    fn clean_ccp_respects_writes_in_initializers_and_right_hand_sides() {
+        let cc = Compiler::new(CompilerId::gcc(485), 2);
+        for (rhs, exit_code) in [("f()", 5), ("(g = 3)", 3), ("g++", 2)] {
+            for stmt in [format!("int a = {rhs};"), format!("int a; a = {rhs};")] {
+                let src = format!(
+                    "int g; int f() {{ g = 5; return 0; }} int main() {{ g = 1; {stmt} return g; }}"
+                );
+                let p = parse(&src).expect("parses");
+                assert_eq!(
+                    cc.observe(&p, Some(50_000)),
+                    Observation::default(),
+                    "{src}"
+                );
+                let out = cc.compile(&p).expect("compiles").execute(100_000);
+                assert_eq!(out.expect("runs").exit_code, exit_code, "{src}");
+            }
+        }
+    }
+
     #[test]
     fn performance_bugs_are_reported_not_fatal() {
         // Expression nesting depth >= 8 triggers gcc-deep-expr.

@@ -1,16 +1,21 @@
 //! AST-level optimization passes of the simulated compiler.
 //!
-//! Four passes mirror the pass kinds the paper's bugs live in: constant
-//! folding (`fold`), sparse conditional constant propagation (`ccp`),
-//! dead-code elimination (`dce`) and a (deliberately unsound when the
+//! Five passes mirror the pass kinds the paper's bugs live in: constant
+//! folding (`fold`), dead-code elimination (`dce`), sparse conditional
+//! constant propagation (`ccp`), a (deliberately unsound when the
 //! corresponding bug is active) alias-based store reordering (`alias`)
-//! plus light loop clean-up (`loop`). Every transformation records
+//! and light loop clean-up (`loop`). Every transformation records
 //! coverage points; wrong-code defects from the [`crate::bugs`] registry
 //! are realized here as incorrect rewrites.
+//!
+//! Ownership: [`optimize`] borrows its input at -O0. At -O1 and above it
+//! clones the program once, and every pass rewrites that one copy in
+//! place.
 
 use crate::bugs::{exprs_equal, BugSpec, Trigger};
 use crate::coverage::Coverage;
 use spe_minic::ast::*;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Pass pipeline context.
@@ -34,92 +39,81 @@ impl PassCtx<'_> {
     }
 }
 
-/// Runs the optimization pipeline for the configured level, returning the
-/// transformed program.
-pub fn optimize(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+/// Runs the optimization pipeline for the configured level: `p` itself at
+/// -O0, otherwise one copy of it rewritten in place.
+pub fn optimize<'p>(p: &'p Program, ctx: &mut PassCtx<'_>) -> Cow<'p, Program> {
     if ctx.opt == 0 {
-        return p.clone();
+        return Cow::Borrowed(p);
     }
-    let mut prog = fold_pass(p, ctx);
-    prog = dce_pass(&prog, ctx);
+    let mut prog = p.clone();
+    fold_pass(&mut prog, ctx);
+    dce_pass(&mut prog, ctx);
     if ctx.opt >= 2 {
-        prog = ccp_pass(&prog, ctx);
-        prog = alias_pass(&prog, ctx);
+        ccp_pass(&mut prog, ctx);
+        alias_pass(&mut prog, ctx);
     }
     if ctx.opt >= 3 {
-        prog = loop_pass(&prog, ctx);
+        loop_pass(&mut prog, ctx);
     }
-    prog
+    Cow::Owned(prog)
 }
 
-/// Rebuilds `p` with every function body replaced by `body(function)`;
-/// only the other function fields are cloned.
-fn map_functions(p: &Program, mut body: impl FnMut(&Function) -> Vec<Stmt>) -> Program {
-    Program {
-        items: p
-            .items
-            .iter()
-            .map(|i| match i {
-                Item::Func(f) => Item::Func(Function {
-                    name: f.name.clone(),
-                    ret: f.ret.clone(),
-                    params: f.params.clone(),
-                    body: body(f),
-                    is_static: f.is_static,
-                }),
-                other => other.clone(),
-            })
-            .collect(),
-        max_occ: p.max_occ,
-        max_expr: p.max_expr,
-    }
+/// Every function body of `p`, in item order.
+fn bodies(p: &mut Program) -> impl Iterator<Item = &mut Vec<Stmt>> {
+    p.items.iter_mut().filter_map(|i| match i {
+        Item::Func(f) => Some(&mut f.body),
+        _ => None,
+    })
 }
 
 // ----- fold ---------------------------------------------------------------
 
-fn fold_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn fold_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("fold", 0);
-    map_functions(p, |f| f.body.iter().map(|s| fold_stmt(s, ctx)).collect())
+    for s in bodies(p).flatten() {
+        fold_stmt(s, ctx);
+    }
 }
 
-fn fold_stmt(s: &Stmt, ctx: &mut PassCtx<'_>) -> Stmt {
+fn fold_stmt(s: &mut Stmt, ctx: &mut PassCtx<'_>) {
     match s {
-        Stmt::Expr(e) => Stmt::Expr(fold_expr(e, ctx)),
-        Stmt::Decl(ds) => Stmt::Decl(
-            ds.iter()
-                .map(|d| VarDeclarator {
-                    init: d.init.as_ref().map(|i| fold_expr(i, ctx)),
-                    ..d.clone()
-                })
-                .collect(),
-        ),
-        Stmt::Block(b) => Stmt::Block(b.iter().map(|s| fold_stmt(s, ctx)).collect()),
-        Stmt::If(c, t, e) => Stmt::If(
-            fold_expr(c, ctx),
-            Box::new(fold_stmt(t, ctx)),
-            e.as_ref().map(|e| Box::new(fold_stmt(e, ctx))),
-        ),
-        Stmt::While(c, b) => Stmt::While(fold_expr(c, ctx), Box::new(fold_stmt(b, ctx))),
-        Stmt::DoWhile(b, c) => Stmt::DoWhile(Box::new(fold_stmt(b, ctx)), fold_expr(c, ctx)),
-        Stmt::For(init, c, st, b) => Stmt::For(
-            init.as_ref().map(|i| match i {
-                ForInit::Decl(ds) => ForInit::Decl(
-                    ds.iter()
-                        .map(|d| VarDeclarator {
-                            init: d.init.as_ref().map(|i| fold_expr(i, ctx)),
-                            ..d.clone()
-                        })
-                        .collect(),
-                ),
-                ForInit::Expr(e) => ForInit::Expr(fold_expr(e, ctx)),
-            }),
-            c.as_ref().map(|c| fold_expr(c, ctx)),
-            st.as_ref().map(|s| fold_expr(s, ctx)),
-            Box::new(fold_stmt(b, ctx)),
-        ),
-        Stmt::Return(e) => Stmt::Return(e.as_ref().map(|e| fold_expr(e, ctx))),
-        Stmt::Label(l, inner) => Stmt::Label(l.clone(), Box::new(fold_stmt(inner, ctx))),
-        other => other.clone(),
+        Stmt::Expr(e) | Stmt::Return(Some(e)) => fold_expr(e, ctx),
+        Stmt::Decl(ds) => fold_decls(ds, ctx),
+        Stmt::Block(b) => b.iter_mut().for_each(|s| fold_stmt(s, ctx)),
+        Stmt::If(c, t, e) => {
+            fold_expr(c, ctx);
+            fold_stmt(t, ctx);
+            if let Some(e) = e {
+                fold_stmt(e, ctx);
+            }
+        }
+        Stmt::While(c, b) => {
+            fold_expr(c, ctx);
+            fold_stmt(b, ctx);
+        }
+        Stmt::DoWhile(b, c) => {
+            fold_stmt(b, ctx);
+            fold_expr(c, ctx);
+        }
+        Stmt::For(init, c, st, b) => {
+            match init {
+                Some(ForInit::Decl(ds)) => fold_decls(ds, ctx),
+                Some(ForInit::Expr(e)) => fold_expr(e, ctx),
+                None => {}
+            }
+            for e in [c, st].into_iter().flatten() {
+                fold_expr(e, ctx);
+            }
+            fold_stmt(b, ctx);
+        }
+        Stmt::Label(_, inner) => fold_stmt(inner, ctx),
+        Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Goto(_) | Stmt::Empty => {}
+    }
+}
+
+fn fold_decls(ds: &mut [VarDeclarator], ctx: &mut PassCtx<'_>) {
+    for init in ds.iter_mut().filter_map(|d| d.init.as_mut()) {
+        fold_expr(init, ctx);
     }
 }
 
@@ -135,7 +129,20 @@ fn is_pure_var(e: &Expr) -> bool {
     matches!(e.kind, ExprKind::Ident(_))
 }
 
-fn fold_expr(e: &Expr, ctx: &mut PassCtx<'_>) -> Expr {
+/// Replaces `e` by its operand `i`, which keeps its own id. Operands
+/// count from 0: Binary's `a, b`, Ternary's `c, t, e`.
+fn hoist(e: &mut Expr, i: usize) {
+    *e = match (std::mem::replace(&mut e.kind, ExprKind::IntLit(0)), i) {
+        (ExprKind::Binary(_, a, _), 0) => *a,
+        (ExprKind::Binary(_, _, x), 1) | (ExprKind::Ternary(_, x, _), 1) => *x,
+        (ExprKind::Ternary(_, _, x), 2) => *x,
+        _ => unreachable!("no operand {i} to hoist"),
+    };
+}
+
+/// Folds `e` bottom-up. A literal result keeps `e`'s id; an identity such
+/// as `x + 0` leaves the kept operand with its own id.
+fn fold_expr(e: &mut Expr, ctx: &mut PassCtx<'_>) {
     // Variable-multiplicity buckets: enumeration rewires which variables
     // repeat inside one expression, steering the folder down different
     // canonicalization paths.
@@ -152,105 +159,82 @@ fn fold_expr(e: &Expr, ctx: &mut PassCtx<'_>) -> Expr {
             ctx.coverage.hit("ccp", 3 + (distinct as u32).min(8));
         }
     }
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
+    match &mut e.kind {
         ExprKind::Binary(op, a, b) => {
-            let a = fold_expr(a, ctx);
-            let b = fold_expr(b, ctx);
-            if let (Some(x), Some(y)) = (lit(&a), lit(&b)) {
-                if let Some(v) = const_arith(*op, x, y) {
-                    ctx.coverage.hit("fold", 1 + (op.precedence() % 8) as u32);
-                    return rebuild(ExprKind::IntLit(v));
-                }
+            let op = *op;
+            fold_expr(a, ctx);
+            fold_expr(b, ctx);
+            if let Some(v) = lit(a).zip(lit(b)).and_then(|(x, y)| const_arith(op, x, y)) {
+                ctx.coverage.hit("fold", 1 + (op.precedence() % 8) as u32);
+                e.kind = ExprKind::IntLit(v);
+                return;
             }
             // x - x => 0 for pure operands (or 1 under the seeded
             // wrong-code defect).
-            if *op == BinaryOp::Sub && is_pure_var(&a) && exprs_equal(&a, &b) {
+            if op == BinaryOp::Sub && is_pure_var(a) && exprs_equal(a, b) {
                 ctx.coverage.hit("fold", 9);
-                if let Some(id) = ctx.bug_active(Trigger::SubSelf) {
-                    ctx.miscompiled_by.push(id);
-                    return rebuild(ExprKind::IntLit(1));
-                }
-                return rebuild(ExprKind::IntLit(0));
+                let v = match ctx.bug_active(Trigger::SubSelf) {
+                    Some(id) => {
+                        ctx.miscompiled_by.push(id);
+                        1
+                    }
+                    None => 0,
+                };
+                e.kind = ExprKind::IntLit(v);
+                return;
             }
-            // Algebraic identities.
-            match (op, lit(&a), lit(&b)) {
-                (BinaryOp::Add, Some(0), _) => {
-                    ctx.coverage.hit("fold", 10);
-                    return b;
-                }
-                (BinaryOp::Add, _, Some(0)) | (BinaryOp::Sub, _, Some(0)) => {
-                    ctx.coverage.hit("fold", 11);
-                    return a;
-                }
-                (BinaryOp::Mul, _, Some(1)) => {
-                    ctx.coverage.hit("fold", 12);
-                    return a;
-                }
-                (BinaryOp::Mul, Some(1), _) => {
-                    ctx.coverage.hit("fold", 12);
-                    return b;
-                }
-                (BinaryOp::Mul, _, Some(0)) if is_pure_var(&a) => {
-                    ctx.coverage.hit("fold", 13);
-                    return rebuild(ExprKind::IntLit(0));
-                }
-                (BinaryOp::Mul, Some(0), _) if is_pure_var(&b) => {
-                    ctx.coverage.hit("fold", 13);
-                    return rebuild(ExprKind::IntLit(0));
-                }
-                _ => {}
+            // Algebraic identities: keep one operand, or fold to 0.
+            let (point, kept) = match (op, lit(a), lit(b)) {
+                (BinaryOp::Add, Some(0), _) => (10, Some(1)),
+                (BinaryOp::Add, _, Some(0)) | (BinaryOp::Sub, _, Some(0)) => (11, Some(0)),
+                (BinaryOp::Mul, _, Some(1)) => (12, Some(0)),
+                (BinaryOp::Mul, Some(1), _) => (12, Some(1)),
+                (BinaryOp::Mul, _, Some(0)) if is_pure_var(a) => (13, None),
+                (BinaryOp::Mul, Some(0), _) if is_pure_var(b) => (13, None),
+                _ => return,
+            };
+            ctx.coverage.hit("fold", point);
+            match kept {
+                Some(i) => hoist(e, i),
+                None => e.kind = ExprKind::IntLit(0),
             }
-            rebuild(ExprKind::Binary(*op, Box::new(a), Box::new(b)))
         }
         ExprKind::Unary(op, inner) => {
-            let inner = fold_expr(inner, ctx);
-            if let (UnaryOp::Neg, Some(v)) = (op, lit(&inner)) {
-                if let Some(n) = v.checked_neg() {
-                    ctx.coverage.hit("fold", 14);
-                    return rebuild(ExprKind::IntLit(n));
-                }
+            fold_expr(inner, ctx);
+            let folded = match (*op, lit(inner)) {
+                (UnaryOp::Neg, Some(v)) => v.checked_neg().map(|n| (14, n)),
+                (UnaryOp::Not, Some(v)) => Some((15, (v == 0) as i64)),
+                _ => None,
+            };
+            if let Some((point, v)) = folded {
+                ctx.coverage.hit("fold", point);
+                e.kind = ExprKind::IntLit(v);
             }
-            if let (UnaryOp::Not, Some(v)) = (op, lit(&inner)) {
-                ctx.coverage.hit("fold", 15);
-                return rebuild(ExprKind::IntLit((v == 0) as i64));
-            }
-            rebuild(ExprKind::Unary(*op, Box::new(inner)))
         }
         ExprKind::Ternary(c, t, els) => {
-            let c = fold_expr(c, ctx);
-            let t = fold_expr(t, ctx);
-            let els = fold_expr(els, ctx);
-            if let Some(v) = lit(&c) {
+            fold_expr(c, ctx);
+            fold_expr(t, ctx);
+            fold_expr(els, ctx);
+            if let Some(v) = lit(c) {
                 ctx.coverage.hit("fold", 16);
-                return if v != 0 { t } else { els };
-            }
-            if exprs_equal(&t, &els) {
+                hoist(e, if v != 0 { 1 } else { 2 });
+            } else if exprs_equal(t, els) {
                 // The operand_equal_p comparison site (Figure 3); the
                 // crash variant is handled before the pipeline runs.
                 ctx.coverage.hit("fold", 17);
             }
-            rebuild(ExprKind::Ternary(Box::new(c), Box::new(t), Box::new(els)))
         }
-        ExprKind::Assign(op, lhs, rhs) => rebuild(ExprKind::Assign(
-            *op,
-            lhs.clone(),
-            Box::new(fold_expr(rhs, ctx)),
-        )),
-        ExprKind::Post(op, inner) => rebuild(ExprKind::Post(*op, inner.clone())),
-        ExprKind::Call(name, args) => rebuild(ExprKind::Call(
-            name.clone(),
-            args.iter().map(|a| fold_expr(a, ctx)).collect(),
-        )),
-        ExprKind::Index(a, i) => rebuild(ExprKind::Index(a.clone(), Box::new(fold_expr(i, ctx)))),
-        ExprKind::Comma(a, b) => rebuild(ExprKind::Comma(
-            Box::new(fold_expr(a, ctx)),
-            Box::new(fold_expr(b, ctx)),
-        )),
-        ExprKind::Cast(t, inner) => {
-            rebuild(ExprKind::Cast(t.clone(), Box::new(fold_expr(inner, ctx))))
+        // Store targets, post-increments, array bases and members are
+        // left as written.
+        ExprKind::Assign(_, _, x) | ExprKind::Index(_, x) | ExprKind::Cast(_, x) => {
+            fold_expr(x, ctx)
         }
-        _ => e.clone(),
+        ExprKind::Call(_, args) => args.iter_mut().for_each(|a| fold_expr(a, ctx)),
+        ExprKind::Comma(a, b) => {
+            fold_expr(a, ctx);
+            fold_expr(b, ctx);
+        }
+        _ => {}
     }
 }
 
@@ -301,12 +285,12 @@ pub(crate) fn const_arith(op: BinaryOp, x: i64, y: i64) -> Option<i64> {
 
 // ----- dce ------------------------------------------------------------------
 
-fn dce_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn dce_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("dce", 0);
-    map_functions(p, |f| {
-        let has_back_goto = function_has_backward_goto(&f.body);
-        dce_stmts(&f.body, ctx, has_back_goto, false)
-    })
+    for body in bodies(p) {
+        let has_back_goto = function_has_backward_goto(body);
+        dce_stmts(body, ctx, has_back_goto, false);
+    }
 }
 
 fn function_has_backward_goto(body: &[Stmt]) -> bool {
@@ -338,107 +322,94 @@ fn function_has_backward_goto(body: &[Stmt]) -> bool {
     found
 }
 
-fn dce_stmts(
-    stmts: &[Stmt],
-    ctx: &mut PassCtx<'_>,
-    back_goto: bool,
-    after_label: bool,
-) -> Vec<Stmt> {
-    let mut out = Vec::new();
+/// Rewrites `stmts`, moving each statement out and back (into the same
+/// allocation) unless it is removed.
+fn dce_stmts(stmts: &mut Vec<Stmt>, ctx: &mut PassCtx<'_>, back_goto: bool, after_label: bool) {
     let mut seen_label = after_label;
-    for s in stmts {
-        if let Stmt::Label(_, _) = s {
-            seen_label = true
-        }
-        match s {
-            // `if (0)` / `if (non-zero-literal)` simplification.
-            Stmt::If(c, t, e) => {
-                if let Some(v) = lit(c) {
-                    ctx.coverage.hit("dce", 1);
-                    if v != 0 {
-                        out.push(dce_one(t, ctx, back_goto, seen_label));
-                    } else if let Some(e) = e {
-                        out.push(dce_one(e, ctx, back_goto, seen_label));
-                    }
-                    continue;
-                }
-                out.push(Stmt::If(
-                    c.clone(),
-                    Box::new(dce_one(t, ctx, back_goto, seen_label)),
-                    e.as_ref()
-                        .map(|e| Box::new(dce_one(e, ctx, back_goto, seen_label))),
-                ));
-            }
-            Stmt::While(c, b) => {
-                if lit(c) == Some(0) {
-                    ctx.coverage.hit("dce", 2);
-                    continue;
-                }
-                out.push(Stmt::While(
-                    c.clone(),
-                    Box::new(dce_one(b, ctx, back_goto, seen_label)),
-                ));
-            }
-            // Self-assignment removal: `x = x;`.
-            Stmt::Expr(e)
-                if matches!(&e.kind, ExprKind::Assign(AssignOp::Assign, l, r)
-                    if is_pure_var(l) && exprs_equal(l, r)) =>
-            {
-                ctx.coverage.hit("dce", 3);
-            }
-            // The Clang 26994 lifetime defect: drop initializers of
-            // declarations that follow a label in a function with a
-            // backward goto.
-            Stmt::Decl(ds) if back_goto && seen_label => {
-                if let Some(id) = ctx.bug_active(Trigger::DeclAfterLabelWithBackGoto) {
-                    ctx.coverage.hit("dce", 4);
-                    ctx.miscompiled_by.push(id);
-                    out.push(Stmt::Decl(
-                        ds.iter()
-                            .map(|d| VarDeclarator {
-                                init: None,
-                                ..d.clone()
-                            })
-                            .collect(),
-                    ));
-                    continue;
-                }
-                out.push(s.clone());
-            }
-            Stmt::Block(b) => {
-                out.push(Stmt::Block(dce_stmts(b, ctx, back_goto, seen_label)));
-            }
-            Stmt::Label(l, inner) => {
-                out.push(Stmt::Label(
-                    l.clone(),
-                    Box::new(dce_one(inner, ctx, back_goto, true)),
-                ));
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    out
+    *stmts = std::mem::take(stmts)
+        .into_iter()
+        .filter_map(|s| {
+            seen_label |= matches!(s, Stmt::Label(..));
+            dce_stmt(s, ctx, back_goto, seen_label)
+        })
+        .collect();
 }
 
-fn dce_one(s: &Stmt, ctx: &mut PassCtx<'_>, back_goto: bool, after_label: bool) -> Stmt {
-    let v = dce_stmts(std::slice::from_ref(s), ctx, back_goto, after_label);
-    match v.len() {
-        0 => Stmt::Empty,
-        1 => v.into_iter().next().expect("one statement"),
-        _ => Stmt::Block(v),
+/// dce of a statement that must stay one statement (a branch, loop body
+/// or labelled statement): a removed statement becomes `;`.
+fn dce_one(s: &mut Stmt, ctx: &mut PassCtx<'_>, back_goto: bool, after_label: bool) {
+    let seen_label = after_label || matches!(s, Stmt::Label(..));
+    let taken = std::mem::replace(s, Stmt::Empty);
+    if let Some(kept) = dce_stmt(taken, ctx, back_goto, seen_label) {
+        *s = kept;
+    }
+}
+
+/// dce of one statement; `None` removes it.
+fn dce_stmt(s: Stmt, ctx: &mut PassCtx<'_>, back_goto: bool, seen_label: bool) -> Option<Stmt> {
+    match s {
+        // `if (0)` / `if (non-zero-literal)` simplification.
+        Stmt::If(c, mut t, mut e) => {
+            if let Some(v) = lit(&c) {
+                ctx.coverage.hit("dce", 1);
+                let mut taken = if v != 0 { Some(t) } else { e }?;
+                dce_one(&mut taken, ctx, back_goto, seen_label);
+                return Some(*taken);
+            }
+            dce_one(&mut t, ctx, back_goto, seen_label);
+            if let Some(e) = &mut e {
+                dce_one(e, ctx, back_goto, seen_label);
+            }
+            Some(Stmt::If(c, t, e))
+        }
+        Stmt::While(c, _) if lit(&c) == Some(0) => {
+            ctx.coverage.hit("dce", 2);
+            None
+        }
+        Stmt::While(c, mut b) => {
+            dce_one(&mut b, ctx, back_goto, seen_label);
+            Some(Stmt::While(c, b))
+        }
+        // Self-assignment removal: `x = x;`.
+        Stmt::Expr(e)
+            if matches!(&e.kind, ExprKind::Assign(AssignOp::Assign, l, r)
+                if is_pure_var(l) && exprs_equal(l, r)) =>
+        {
+            ctx.coverage.hit("dce", 3);
+            None
+        }
+        // The Clang 26994 lifetime defect: drop initializers of
+        // declarations that follow a label in a function with a
+        // backward goto.
+        Stmt::Decl(mut ds) if back_goto && seen_label => {
+            if let Some(id) = ctx.bug_active(Trigger::DeclAfterLabelWithBackGoto) {
+                ctx.coverage.hit("dce", 4);
+                ctx.miscompiled_by.push(id);
+                ds.iter_mut().for_each(|d| d.init = None);
+            }
+            Some(Stmt::Decl(ds))
+        }
+        Stmt::Block(mut b) => {
+            dce_stmts(&mut b, ctx, back_goto, seen_label);
+            Some(Stmt::Block(b))
+        }
+        Stmt::Label(l, mut inner) => {
+            dce_one(&mut inner, ctx, back_goto, true);
+            Some(Stmt::Label(l, inner))
+        }
+        other => Some(other),
     }
 }
 
 // ----- ccp ------------------------------------------------------------------
 
-fn ccp_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn ccp_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("ccp", 0);
-    map_functions(p, |f| {
+    for body in bodies(p) {
         let mut addressed = HashSet::new();
-        collect_addressed(&f.body, &mut addressed);
-        let mut consts: HashMap<String, i64> = HashMap::new();
-        ccp_stmts(&f.body, &mut consts, &addressed, ctx)
-    })
+        collect_addressed(body, &mut addressed);
+        ccp_stmts(body, &mut HashMap::new(), &addressed, ctx);
+    }
 }
 
 fn collect_addressed(stmts: &[Stmt], out: &mut HashSet<String>) {
@@ -523,124 +494,78 @@ fn collect_addressed(stmts: &[Stmt], out: &mut HashSet<String>) {
 /// Straight-line constant propagation. Any control flow or call clears
 /// the known-constants map (sound but conservative).
 fn ccp_stmts(
-    stmts: &[Stmt],
+    stmts: &mut [Stmt],
     consts: &mut HashMap<String, i64>,
     addressed: &HashSet<String>,
     ctx: &mut PassCtx<'_>,
-) -> Vec<Stmt> {
-    let mut out = Vec::new();
+) {
     for s in stmts {
         match s {
             Stmt::Decl(ds) => {
-                let mut nds = Vec::new();
                 for d in ds {
-                    let init = d.init.as_ref().map(|i| ccp_expr(i, consts, ctx));
-                    if let Some(i) = &init {
-                        if let Some(v) = lit(i) {
-                            if !addressed.contains(&d.name) {
-                                consts.insert(d.name.clone(), v);
-                            }
+                    let Some(init) = &mut d.init else { continue };
+                    ccp_expr(init, consts, ctx);
+                    if let Some(v) = lit(init) {
+                        if !addressed.contains(&d.name) {
+                            consts.insert(d.name.clone(), v);
                         }
-                    }
-                    nds.push(VarDeclarator { init, ..d.clone() });
-                }
-                out.push(Stmt::Decl(nds));
-            }
-            Stmt::Expr(e) => {
-                let ne = ccp_expr(e, consts, ctx);
-                // Track `x = literal` and invalidate on other writes.
-                if let ExprKind::Assign(op, lhs, rhs) = &ne.kind {
-                    if let ExprKind::Ident(id) = &lhs.kind {
-                        if *op == AssignOp::Assign {
-                            match lit(rhs) {
-                                Some(v) if !addressed.contains(&id.name) => {
-                                    ctx.coverage.hit("ccp", 1);
-                                    consts.insert(id.name.clone(), v);
-                                }
-                                _ => {
-                                    consts.remove(&id.name);
-                                }
-                            }
-                        } else {
-                            consts.remove(&id.name);
-                        }
-                    } else {
-                        // Store through pointer/array: globals and
-                        // addressed locals may change.
+                    } else if contains_write(init) {
+                        // `int a = f();` or `int a = (g = 3);` may store
+                        // to a tracked variable.
                         consts.clear();
                     }
-                } else if contains_write(&ne) {
+                }
+            }
+            Stmt::Expr(e) => {
+                ccp_expr(e, consts, ctx);
+                // Track `x = literal` and invalidate on other writes.
+                if let ExprKind::Assign(op, lhs, rhs) = &e.kind {
+                    match &lhs.kind {
+                        ExprKind::Ident(id) if !contains_write(rhs) => match lit(rhs) {
+                            Some(v) if *op == AssignOp::Assign && !addressed.contains(&id.name) => {
+                                ctx.coverage.hit("ccp", 1);
+                                consts.insert(id.name.clone(), v);
+                            }
+                            _ => {
+                                consts.remove(&id.name);
+                            }
+                        },
+                        // A store through a pointer or array (globals and
+                        // addressed locals may change), or a right-hand
+                        // side that writes (`a = f();`, `a = g++;`).
+                        _ => consts.clear(),
+                    }
+                } else if contains_write(e) {
                     consts.clear();
                 }
-                out.push(Stmt::Expr(ne));
             }
-            // Control flow: propagate into the condition, then clear.
+            // Control flow: propagate into an `if` condition, then clear;
+            // nested statements start from an empty map.
             Stmt::If(c, t, e) => {
-                let c = ccp_expr(c, consts, ctx);
+                ccp_expr(c, consts, ctx);
                 consts.clear();
-                let t2 = ccp_block(t, consts, addressed, ctx);
-                let e2 = e
-                    .as_ref()
-                    .map(|e| Box::new(ccp_block(e, consts, addressed, ctx)));
-                out.push(Stmt::If(c, Box::new(t2), e2));
-                consts.clear();
+                ccp_block(t, addressed, ctx);
+                if let Some(e) = e {
+                    ccp_block(e, addressed, ctx);
+                }
             }
-            Stmt::While(c, b) => {
+            Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) | Stmt::Label(_, b) => {
                 consts.clear();
-                let b2 = ccp_block(b, consts, addressed, ctx);
-                out.push(Stmt::While(c.clone(), Box::new(b2)));
-                consts.clear();
-            }
-            Stmt::DoWhile(b, c) => {
-                consts.clear();
-                let b2 = ccp_block(b, consts, addressed, ctx);
-                out.push(Stmt::DoWhile(Box::new(b2), c.clone()));
-                consts.clear();
-            }
-            Stmt::For(init, c, st, b) => {
-                consts.clear();
-                let b2 = ccp_block(b, consts, addressed, ctx);
-                out.push(Stmt::For(init.clone(), c.clone(), st.clone(), Box::new(b2)));
-                consts.clear();
-            }
-            Stmt::Return(Some(e)) => {
-                out.push(Stmt::Return(Some(ccp_expr(e, consts, ctx))));
+                ccp_block(b, addressed, ctx);
             }
             Stmt::Block(b) => {
                 consts.clear();
-                let mut inner = HashMap::new();
-                out.push(Stmt::Block(ccp_stmts(b, &mut inner, addressed, ctx)));
-                consts.clear();
+                ccp_stmts(b, &mut HashMap::new(), addressed, ctx);
             }
-            Stmt::Label(l, inner) => {
-                consts.clear();
-                let i2 = ccp_block(inner, consts, addressed, ctx);
-                out.push(Stmt::Label(l.clone(), Box::new(i2)));
-                consts.clear();
-            }
-            Stmt::Goto(_) => {
-                consts.clear();
-                out.push(s.clone());
-            }
-            other => out.push(other.clone()),
+            Stmt::Return(Some(e)) => ccp_expr(e, consts, ctx),
+            Stmt::Goto(_) => consts.clear(),
+            _ => {}
         }
     }
-    out
 }
 
-fn ccp_block(
-    s: &Stmt,
-    consts: &mut HashMap<String, i64>,
-    addressed: &HashSet<String>,
-    ctx: &mut PassCtx<'_>,
-) -> Stmt {
-    let mut inner = HashMap::new();
-    let _ = consts;
-    let v = ccp_stmts(std::slice::from_ref(s), &mut inner, addressed, ctx);
-    match v.len() {
-        1 => v.into_iter().next().expect("one statement"),
-        _ => Stmt::Block(v),
-    }
+fn ccp_block(s: &mut Stmt, addressed: &HashSet<String>, ctx: &mut PassCtx<'_>) {
+    ccp_stmts(std::slice::from_mut(s), &mut HashMap::new(), addressed, ctx);
 }
 
 fn contains_write(e: &Expr) -> bool {
@@ -658,7 +583,7 @@ fn contains_write(e: &Expr) -> bool {
     }
 }
 
-fn ccp_expr(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) -> Expr {
+fn ccp_expr(e: &mut Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) {
     // The gcc-samevar6-wc defect: in expressions reading one variable
     // many times, the (buggy) propagator replaces the reads with 0. The
     // read census feeds nothing else, so it runs only under the defect.
@@ -672,101 +597,66 @@ fn ccp_expr(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) -> E
                 None => counts.push((&ident.name, 1)),
             },
         );
-        let most = counts
+        let worst = counts
             .into_iter()
-            .reduce(|best, c| if c.1 > best.1 { c } else { best });
-        if let Some((worst, n)) = most {
-            if n >= 6 {
-                ctx.miscompiled_by.push(id);
-                return replace_var_reads(e, worst);
-            }
+            .reduce(|best, c| if c.1 > best.1 { c } else { best })
+            .filter(|&(_, n)| n >= 6)
+            .map(|(name, _)| name.to_owned());
+        if let Some(worst) = worst {
+            ctx.miscompiled_by.push(id);
+            replace_var_reads(e, &worst);
+            return;
         }
     }
     subst_consts(e, consts, ctx)
 }
 
-fn replace_var_reads(e: &Expr, name: &str) -> Expr {
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
-        ExprKind::Ident(id) if id.name == name => rebuild(ExprKind::IntLit(0)),
-        ExprKind::Assign(op, lhs, rhs) => rebuild(ExprKind::Assign(
-            *op,
-            lhs.clone(), // do not rewrite the store target
-            Box::new(replace_var_reads(rhs, name)),
-        )),
-        ExprKind::Unary(UnaryOp::Addr, _) | ExprKind::Post(_, _) => e.clone(),
-        ExprKind::Unary(op, a) => {
-            rebuild(ExprKind::Unary(*op, Box::new(replace_var_reads(a, name))))
+fn replace_var_reads(e: &mut Expr, name: &str) {
+    match &mut e.kind {
+        ExprKind::Ident(id) if id.name == name => e.kind = ExprKind::IntLit(0),
+        // Neither store targets nor address-taken or post-incremented
+        // operands are rewritten.
+        ExprKind::Unary(UnaryOp::Addr, _) | ExprKind::Post(_, _) => {}
+        ExprKind::Assign(_, _, x) | ExprKind::Unary(_, x) | ExprKind::Index(_, x) => {
+            replace_var_reads(x, name)
         }
-        ExprKind::Binary(op, a, b) => rebuild(ExprKind::Binary(
-            *op,
-            Box::new(replace_var_reads(a, name)),
-            Box::new(replace_var_reads(b, name)),
-        )),
-        ExprKind::Ternary(c, t, e2) => rebuild(ExprKind::Ternary(
-            Box::new(replace_var_reads(c, name)),
-            Box::new(replace_var_reads(t, name)),
-            Box::new(replace_var_reads(e2, name)),
-        )),
-        ExprKind::Index(a, i) => rebuild(ExprKind::Index(
-            a.clone(),
-            Box::new(replace_var_reads(i, name)),
-        )),
-        ExprKind::Comma(a, b) => rebuild(ExprKind::Comma(
-            Box::new(replace_var_reads(a, name)),
-            Box::new(replace_var_reads(b, name)),
-        )),
-        _ => e.clone(),
+        ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
+            replace_var_reads(a, name);
+            replace_var_reads(b, name);
+        }
+        ExprKind::Ternary(c, t, e2) => {
+            replace_var_reads(c, name);
+            replace_var_reads(t, name);
+            replace_var_reads(e2, name);
+        }
+        _ => {}
     }
 }
 
-fn subst_consts(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) -> Expr {
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
-        ExprKind::Ident(id) => match consts.get(&id.name) {
-            Some(v) => {
+fn subst_consts(e: &mut Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) {
+    match &mut e.kind {
+        ExprKind::Ident(id) => {
+            if let Some(&v) = consts.get(&id.name) {
                 ctx.coverage.hit("ccp", 2);
-                rebuild(ExprKind::IntLit(*v))
+                e.kind = ExprKind::IntLit(v);
             }
-            None => e.clone(),
-        },
-        ExprKind::Assign(op, lhs, rhs) => rebuild(ExprKind::Assign(
-            *op,
-            lhs.clone(),
-            Box::new(subst_consts(rhs, consts, ctx)),
-        )),
-        ExprKind::Unary(UnaryOp::Addr, _) => e.clone(),
-        ExprKind::Unary(op, a) => {
-            rebuild(ExprKind::Unary(*op, Box::new(subst_consts(a, consts, ctx))))
         }
-        ExprKind::Post(_, _) => e.clone(),
-        ExprKind::Binary(op, a, b) => rebuild(ExprKind::Binary(
-            *op,
-            Box::new(subst_consts(a, consts, ctx)),
-            Box::new(subst_consts(b, consts, ctx)),
-        )),
-        ExprKind::Ternary(c, t, e2) => rebuild(ExprKind::Ternary(
-            Box::new(subst_consts(c, consts, ctx)),
-            Box::new(subst_consts(t, consts, ctx)),
-            Box::new(subst_consts(e2, consts, ctx)),
-        )),
-        ExprKind::Call(name, args) => rebuild(ExprKind::Call(
-            name.clone(),
-            args.iter().map(|a| subst_consts(a, consts, ctx)).collect(),
-        )),
-        ExprKind::Index(a, i) => rebuild(ExprKind::Index(
-            a.clone(),
-            Box::new(subst_consts(i, consts, ctx)),
-        )),
-        ExprKind::Comma(a, b) => rebuild(ExprKind::Comma(
-            Box::new(subst_consts(a, consts, ctx)),
-            Box::new(subst_consts(b, consts, ctx)),
-        )),
-        ExprKind::Cast(t, a) => rebuild(ExprKind::Cast(
-            t.clone(),
-            Box::new(subst_consts(a, consts, ctx)),
-        )),
-        _ => e.clone(),
+        ExprKind::Unary(UnaryOp::Addr, _) | ExprKind::Post(_, _) => {}
+        ExprKind::Assign(_, _, x)
+        | ExprKind::Unary(_, x)
+        | ExprKind::Index(_, x)
+        | ExprKind::Cast(_, x) => subst_consts(x, consts, ctx),
+        ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
+            subst_consts(a, consts, ctx);
+            subst_consts(b, consts, ctx);
+        }
+        ExprKind::Ternary(c, t, e2) => {
+            subst_consts(c, consts, ctx);
+            subst_consts(t, consts, ctx);
+            subst_consts(e2, consts, ctx);
+        }
+        ExprKind::Call(_, args) => args.iter_mut().for_each(|a| subst_consts(a, consts, ctx)),
+        _ => {}
     }
 }
 
@@ -776,10 +666,12 @@ fn subst_consts(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) 
 /// consecutive `*p = …; *q = …;` through distinct pointer variables are
 /// swapped under the gcc-69951 defect — wrong exactly when `p` and `q`
 /// alias, reproducing the Figure 2 miscompilation.
-fn alias_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn alias_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("alias", 0);
     let bug = ctx.bug_active(Trigger::AliasedPointerStores);
-    map_functions(p, |f| alias_stmts(&f.body, bug, ctx))
+    for body in bodies(p) {
+        alias_stmts(body, bug, ctx);
+    }
 }
 
 fn is_deref_store(s: &Stmt) -> Option<&str> {
@@ -797,8 +689,7 @@ fn is_deref_store(s: &Stmt) -> Option<&str> {
     None
 }
 
-fn alias_stmts(stmts: &[Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>) -> Vec<Stmt> {
-    let mut out: Vec<Stmt> = Vec::new();
+fn alias_stmts(stmts: &mut [Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>) {
     let mut i = 0;
     while i < stmts.len() {
         if let (Some(p1), Some(p2)) = (
@@ -810,20 +701,17 @@ fn alias_stmts(stmts: &[Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>)
                 if let Some(id) = bug {
                     ctx.coverage.hit("alias", 2);
                     ctx.miscompiled_by.push(id);
-                    out.push(stmts[i + 1].clone());
-                    out.push(stmts[i].clone());
+                    stmts.swap(i, i + 1);
                     i += 2;
                     continue;
                 }
             }
         }
-        match &stmts[i] {
-            Stmt::Block(b) => out.push(Stmt::Block(alias_stmts(b, bug, ctx))),
-            other => out.push(other.clone()),
+        if let Stmt::Block(b) = &mut stmts[i] {
+            alias_stmts(b, bug, ctx);
         }
         i += 1;
     }
-    out
 }
 
 // ----- loop -----------------------------------------------------------------
@@ -831,77 +719,57 @@ fn alias_stmts(stmts: &[Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>)
 /// Loop clean-up at `-O3`: removes loops whose condition folded to zero
 /// and hosts the self-indexed-array wrong-code defect (gcc-70138): the
 /// (buggy) "vectorizer" rewrites a self-indexed array subscript to zero.
-fn loop_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn loop_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("loop", 0);
     let bug = ctx.bug_active(Trigger::SelfIndexedArray);
-    map_functions(p, |f| {
-        f.body.iter().map(|s| loop_stmt(s, bug, ctx)).collect()
-    })
-}
-
-fn loop_stmt(s: &Stmt, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) -> Stmt {
-    match s {
-        Stmt::For(_, Some(c), _, _) if lit(c) == Some(0) => {
-            ctx.coverage.hit("loop", 1);
-            Stmt::Empty
-        }
-        Stmt::While(c, b) => {
-            ctx.coverage.hit("loop", 2);
-            Stmt::While(c.clone(), Box::new(loop_stmt(b, bug, ctx)))
-        }
-        Stmt::For(i, c, st, b) => {
-            ctx.coverage.hit("loop", 3);
-            Stmt::For(
-                i.clone(),
-                c.clone(),
-                st.clone(),
-                Box::new(loop_stmt(b, bug, ctx)),
-            )
-        }
-        Stmt::DoWhile(b, c) => Stmt::DoWhile(Box::new(loop_stmt(b, bug, ctx)), c.clone()),
-        Stmt::Block(b) => Stmt::Block(b.iter().map(|s| loop_stmt(s, bug, ctx)).collect()),
-        Stmt::If(c, t, e) => Stmt::If(
-            c.clone(),
-            Box::new(loop_stmt(t, bug, ctx)),
-            e.as_ref().map(|e| Box::new(loop_stmt(e, bug, ctx))),
-        ),
-        Stmt::Label(l, inner) => Stmt::Label(l.clone(), Box::new(loop_stmt(inner, bug, ctx))),
-        Stmt::Expr(e) => Stmt::Expr(vectorize_expr(e, bug, ctx)),
-        other => other.clone(),
+    for s in bodies(p).flatten() {
+        loop_stmt(s, bug, ctx);
     }
 }
 
-fn vectorize_expr(e: &Expr, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) -> Expr {
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
-        ExprKind::Assign(op, lhs, rhs) => {
-            if let ExprKind::Index(base, idx) = &lhs.kind {
-                let mut names: Vec<&str> = Vec::new();
-                idx.for_each_ident(&mut |id| names.push(&id.name));
-                names.sort();
-                let self_indexed = names.windows(2).any(|w| w[0] == w[1]);
-                if self_indexed {
-                    ctx.coverage.hit("loop", 4);
-                    if let Some(id) = bug {
-                        ctx.miscompiled_by.push(id);
-                        let zero = Expr {
-                            id: idx.id,
-                            kind: ExprKind::IntLit(0),
-                        };
-                        return rebuild(ExprKind::Assign(
-                            *op,
-                            Box::new(Expr {
-                                id: lhs.id,
-                                kind: ExprKind::Index(base.clone(), Box::new(zero)),
-                            }),
-                            rhs.clone(),
-                        ));
-                    }
-                }
-            }
-            e.clone()
+fn loop_stmt(s: &mut Stmt, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) {
+    match s {
+        Stmt::For(_, Some(c), _, _) if lit(c) == Some(0) => {
+            ctx.coverage.hit("loop", 1);
+            *s = Stmt::Empty;
         }
-        _ => e.clone(),
+        Stmt::While(_, b) => {
+            ctx.coverage.hit("loop", 2);
+            loop_stmt(b, bug, ctx);
+        }
+        Stmt::For(_, _, _, b) => {
+            ctx.coverage.hit("loop", 3);
+            loop_stmt(b, bug, ctx);
+        }
+        Stmt::DoWhile(b, _) | Stmt::Label(_, b) => loop_stmt(b, bug, ctx),
+        Stmt::Block(b) => b.iter_mut().for_each(|s| loop_stmt(s, bug, ctx)),
+        Stmt::If(_, t, e) => {
+            loop_stmt(t, bug, ctx);
+            if let Some(e) = e {
+                loop_stmt(e, bug, ctx);
+            }
+        }
+        Stmt::Expr(e) => vectorize_expr(e, bug, ctx),
+        _ => {}
+    }
+}
+
+fn vectorize_expr(e: &mut Expr, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) {
+    let ExprKind::Assign(_, lhs, _) = &mut e.kind else {
+        return;
+    };
+    let ExprKind::Index(_, idx) = &mut lhs.kind else {
+        return;
+    };
+    let mut names: Vec<&str> = Vec::new();
+    idx.for_each_ident(&mut |id| names.push(&id.name));
+    names.sort();
+    if names.windows(2).any(|w| w[0] == w[1]) {
+        ctx.coverage.hit("loop", 4);
+        if let Some(id) = bug {
+            ctx.miscompiled_by.push(id);
+            idx.kind = ExprKind::IntLit(0);
+        }
     }
 }
 
@@ -958,6 +826,30 @@ mod tests {
             2,
         );
         assert!(out.contains("int a = b;"), "{out}");
+    }
+
+    #[test]
+    fn writes_in_initializers_and_right_hand_sides_end_propagation() {
+        for stmt in [
+            "int a = f();",
+            "int a = (g = 3);",
+            "int a = g++;",
+            "int a; a = f();",
+            "int a; a = (g = 3);",
+            "int a; a = g++;",
+        ] {
+            let src = format!(
+                "int g; int f() {{ g = 5; return 0; }} int main() {{ g = 1; {stmt} return g; }}"
+            );
+            let out = opt(&src, 2);
+            assert!(out.contains("return g;"), "{out}");
+        }
+        // A write-free right-hand side keeps the constant.
+        let out = opt("int g; int main() { g = 1; int a = g + 2; return g; }", 2);
+        assert!(
+            out.contains("int a = 1 + 2;") && out.contains("return 1;"),
+            "{out}"
+        );
     }
 
     #[test]
