@@ -13,8 +13,8 @@
 
 use spe_corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe_harness::checkpoint::{compact_journal, CampaignStatus, CheckpointOptions};
-use spe_harness::fleet::{merge_journals_detailed, resume_host, run_host, FleetPlan};
-use spe_harness::{run_campaign_parallel, CampaignConfig};
+use spe_harness::fleet::{merge_journals_detailed, run_host, FleetPlan};
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig};
 use spe_report::{fleet_provenance_table, FleetHostRow};
 use spe_simcc::{Compiler, CompilerId};
 use std::path::PathBuf;
@@ -77,7 +77,12 @@ fn child(args: &[String]) -> ! {
         stop_after: get("--stop-after").map(|n| n.parse().expect("kill budget")),
     };
     let status = if args.iter().any(|a| a == "--resume") {
-        resume_host(journal_path(host), workers, &options)
+        Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .resume(journal_path(host), &options)
+        .map(|outcome| outcome.status)
     } else {
         run_host(
             &plan(),

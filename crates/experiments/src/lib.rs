@@ -266,18 +266,6 @@ pub fn phase<T>(name: &str, f: impl FnOnce() -> T) -> (T, std::time::Duration) {
     (out, std::time::Duration::from_nanos(nanos))
 }
 
-/// Prints a supervised [`spe_harness::orchestrate::Outcome`]'s absorbed
-/// fault warnings (journal degradation, quarantined jobs) to stderr and
-/// unwraps the status — experiments bins must never drop them silently.
-pub fn surface_warnings(
-    outcome: spe_harness::orchestrate::Outcome,
-) -> spe_harness::checkpoint::CampaignStatus {
-    for w in &outcome.warnings {
-        eprintln!("spe-experiments: warning: {w}");
-    }
-    outcome.status
-}
-
 /// Shared harness of the campaign-scaling experiments: runs the serial
 /// campaign over the seeds plus a generated corpus slice, re-runs it at
 /// each worker count, asserts every parallel report byte-identical to
@@ -386,10 +374,8 @@ pub fn canonical_native_speedup(scale: Scale, worker_counts: &[usize]) -> Table 
 /// uninterrupted run. The two phases render as one table via the
 /// partial-report merge [`Table::extend`].
 pub fn resume_demo(scale: Scale, workers: usize) -> Table {
-    use spe_harness::checkpoint::{
-        compact_journal, reduce_findings_checkpointed, CampaignStatus, CheckpointOptions,
-    };
-    use spe_harness::orchestrate::{self, FaultPolicy};
+    use spe_harness::checkpoint::{compact_journal, CampaignStatus, CheckpointOptions};
+    use spe_harness::{Campaign, Outcome};
     let mut files = seeds::all();
     files.extend(generate(&CorpusConfig {
         files: scale.corpus_files / 8,
@@ -425,19 +411,32 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
         format!("Checkpointed campaign: kill after ~{stop_after} variants, resume ({workers} workers)"),
         &headers,
     );
+    // The demo must run off its journal: an absorbed journal fault would
+    // mean the resume below did not replay the checkpoints it claims to.
+    let healthy = |outcome: Outcome| {
+        assert!(
+            outcome.warnings.is_empty(),
+            "journal faults absorbed: {:?}",
+            outcome.warnings
+        );
+        outcome.status
+    };
     let (first, first_time) = phase("run_until_kill", || {
-        orchestrate::campaign_checkpointed(
+        Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .run_journaled(
             &files,
             &config,
-            workers,
             &path,
             &CheckpointOptions {
                 every: 64,
                 stop_after: Some(stop_after),
             },
-            &FaultPolicy::default(),
+            None,
         )
-        .map(surface_warnings)
+        .map(healthy)
         .expect("journal is writable")
     });
     assert!(
@@ -473,13 +472,12 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
     ]);
     t.extend(&compacted);
     let (resumed, resume_time) = phase("resume", || {
-        orchestrate::resume(
-            &path,
+        Campaign {
             workers,
-            &CheckpointOptions::default(),
-            &FaultPolicy::default(),
-        )
-        .map(surface_warnings)
+            ..Campaign::default()
+        }
+        .resume(&path, &CheckpointOptions::default())
+        .map(healthy)
         .expect("journal resumes")
         .into_report()
         .expect("uninterrupted resume completes")
@@ -500,14 +498,17 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
     reduce_campaign(&mut in_memory, &config);
     let mut journaled = resumed;
     let ((), reduce_time) = phase("reduce", || {
-        reduce_findings_checkpointed(
+        Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .reduce(
             &mut journaled,
             &ReductionOptions {
                 fuel: config.fuel,
                 ..ReductionOptions::default()
             },
-            workers,
-            &path,
+            Some(path.as_path()),
         )
         .expect("checkpointed reduction");
     });

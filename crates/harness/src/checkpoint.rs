@@ -1,22 +1,24 @@
-//! Checkpointable, resumable campaigns over an `spe-persist` journal.
+//! The journal behind checkpointable, resumable campaigns.
 //!
-//! [`crate::run_campaign_parallel`] is a one-shot in-memory run: a crash
-//! or preemption loses everything, which is untenable for the paper's
-//! multi-day enumeration budgets (Table 2). This module makes every
+//! An in-memory [`crate::Campaign::run`] is a one-shot run: a crash or
+//! preemption loses everything, which is untenable for the paper's
+//! multi-day enumeration budgets (Table 2). This module holds the
+//! `spe-persist` record schema, replay and compaction that make every
 //! campaign **checkpointable and resumable with byte-identical final
 //! reports** (`DESIGN.md` §9):
 //!
-//! * [`run_campaign_checkpointed`] runs the familiar work-stealing
-//!   campaign, but each worker periodically appends its (file, shard)
-//!   progress — the emission-index high-water mark plus the candidate
-//!   [`Finding`]s and counters accrued since the last checkpoint — as a
-//!   checksummed, fsync'd record frame in an [`spe_persist::Journal`];
-//! * [`resume_campaign`] rebuilds the per-job state by **streaming** the
-//!   journal's valid prefix through [`spe_persist::JournalIter`] (a torn
-//!   tail frame from the crash is detected and dropped; memory is
-//!   bounded by the live per-job state, not the journal size), re-deals
-//!   only unfinished jobs into the work-stealing queue, and **re-seeds
-//!   each shard at its recorded high-water mark** through
+//! * [`crate::Campaign::run_journaled`] runs the work-stealing campaign,
+//!   but each worker periodically appends its (file, shard) progress —
+//!   the emission-index high-water mark plus the candidate [`Finding`]s
+//!   and counters accrued since the last checkpoint — as a checksummed,
+//!   fsync'd record frame in an [`spe_persist::Journal`];
+//! * [`crate::Campaign::resume`] rebuilds the per-job state by
+//!   **streaming** the journal's valid prefix through
+//!   [`spe_persist::JournalIter`] (a torn tail frame from the crash is
+//!   detected and dropped; memory is bounded by the live per-job state,
+//!   not the journal size), re-deals only unfinished jobs into the
+//!   work-stealing queue, and **re-seeds each shard at its recorded
+//!   high-water mark** through
 //!   [`spe_core::ShardedEnumerator::enumerate_shard_resumed_prepared`] —
 //!   the exact-unranking `skip_to` machinery, so no variant before the
 //!   mark is ever re-enumerated;
@@ -25,15 +27,14 @@
 //!   atomic-rename rewrite ([`spe_persist::journal::promote`];
 //!   `DESIGN.md` §11) — resuming from the compacted journal is
 //!   byte-identical to resuming from the original;
-//! * [`reduce_findings_checkpointed`] extends the same journal through
-//!   the post-campaign reduction stage, recording one witness per
-//!   finding so a resumed pipeline re-reduces only what was lost.
+//! * [`crate::Campaign::reduce`] with a journal path extends the same
+//!   journal through the post-campaign reduction stage, recording one
+//!   witness per finding so a resumed pipeline re-reduces only what was
+//!   lost.
 //!
 //! The worker pool itself — with its panic isolation, checkpoint
 //! cadence, and journal-fault degradation — lives in
-//! [`crate::orchestrate`]; every entry point here is a thin wrapper that
-//! builds or replays journal state and hands it to the one supervised
-//! loop.
+//! [`crate::orchestrate`].
 //!
 //! **Resume determinism.** Enumeration order is globally fixed
 //! (file-major, emission-index order), every per-variant computation is
@@ -41,23 +42,18 @@
 //! commits a high-water mark *together with* exactly the candidates of
 //! the variants it covers — one atomic frame. Replayed prefix +
 //! recomputed suffix therefore reproduces precisely the uninterrupted
-//! per-job outputs, and [`crate::run_campaign`]'s deterministic
-//! (file, shard)-ordered merge does the rest: the final report is
-//! byte-identical to a never-interrupted run, at any worker count, no
-//! matter where (or how often) the campaign was killed. `DESIGN.md` §9
-//! spells the argument out.
+//! per-job outputs, and the deterministic (file, shard)-ordered merge
+//! does the rest: the final report is byte-identical to a
+//! never-interrupted run, at any worker count, no matter where (or how
+//! often) the campaign was killed. `DESIGN.md` §9 spells the argument
+//! out.
 
-use crate::orchestrate::{self, FaultPolicy, Outcome, Spec};
 use crate::reduction::{attach_and_dedup, reduce_one_isolated, ReducedWitness, ReductionOptions};
 use crate::steal::WorkQueue;
-use crate::{
-    merge_outputs, CampaignConfig, CampaignReport, Finding, FindingKind, Oracle, OraclePath,
-    ShardOutput,
-};
+use crate::{CampaignConfig, CampaignReport, Finding, FindingKind, OraclePath, ShardOutput};
 use spe_core::Algorithm;
 use spe_corpus::TestFile;
 use spe_persist::{DecodeError, Decoder, Encoder, Journal, JournalError, JournalIter};
-use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{bugs, Compiler, CompilerId};
 use std::collections::HashMap;
 use std::fmt;
@@ -110,7 +106,7 @@ pub struct CheckpointOptions {
     /// records. Smaller = less recomputation after a crash, more fsync
     /// traffic; `DESIGN.md` §9 discusses the cadence trade-off. (A
     /// wall-clock cadence bound rides alongside this count in
-    /// [`FaultPolicy::checkpoint_interval`].)
+    /// [`crate::FaultPolicy::checkpoint_interval`].)
     pub every: u64,
     /// Simulated preemption for tests and demos: once this many variants
     /// have been processed across all workers *in this run*, workers
@@ -134,10 +130,10 @@ impl Default for CheckpointOptions {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignStatus {
     /// The campaign ran to completion; the report is byte-identical to
-    /// the equivalent uninterrupted [`crate::run_campaign_parallel`].
+    /// the equivalent uninterrupted [`crate::Campaign::run`].
     Complete(CampaignReport),
     /// [`CheckpointOptions::stop_after`] fired mid-campaign. Resume from
-    /// the journal with [`resume_campaign`].
+    /// the journal with [`crate::Campaign::resume`].
     Interrupted,
 }
 
@@ -467,12 +463,12 @@ impl Manifest {
     /// was written under a different backend id or configuration hash
     /// than `oracle` — the "refuse, don't silently diverge" gate of
     /// every resume path (campaign and reduction).
-    fn check_backend(&self, oracle: &Oracle<'_>) -> Result<(), CheckpointError> {
+    pub(crate) fn check_backend(&self, oracle: &OraclePath<'_>) -> Result<(), CheckpointError> {
         let (id, hash) = (oracle.backend_id(), oracle.config_hash());
         if self.backend_id != id {
             return Err(CheckpointError::Foreign(format!(
                 "journal was recorded under backend {:?}, resume was handed {:?}; \
-                 resume with the matching backend (resume_campaign_with_backend)",
+                 resume with the matching backend (OraclePath::Backend)",
                 self.backend_id, id
             )));
         }
@@ -610,313 +606,12 @@ impl Replay {
     }
 
     /// Streams every record of `iter` into the live state.
-    fn drain(&mut self, iter: &mut JournalIter) -> Result<(), CheckpointError> {
+    pub(crate) fn drain(&mut self, iter: &mut JournalIter) -> Result<(), CheckpointError> {
         for rec in iter {
             self.apply(&rec?)?;
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------
-// Checkpointed campaign entry points (thin wrappers over orchestrate).
-// ---------------------------------------------------------------------
-
-/// Runs a campaign writing per-(file, shard) checkpoints into a fresh
-/// journal at `path` (any existing file is replaced).
-///
-/// The work decomposition is `files × workers` jobs, exactly as
-/// [`crate::run_campaign_parallel`]; the completed report is
-/// byte-identical to it (and to the serial [`crate::run_campaign`]) for
-/// every worker count. The journal's manifest records the corpus,
-/// configuration and decomposition, so [`resume_campaign`] needs only
-/// the path.
-///
-/// Runs under [`FaultPolicy::default`]; degradation warnings (a journal
-/// that stopped accepting appends mid-run) are printed to stderr — use
-/// [`crate::orchestrate::campaign_checkpointed`] to inspect them
-/// programmatically.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Journal`] when the journal cannot be
-/// **created**. Later append failures no longer abort the campaign:
-/// they are retried and then degrade the run to checkpoint-less
-/// completion (see [`FaultPolicy`]).
-pub fn run_campaign_checkpointed(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_campaign_checkpointed_with_path(
-        files,
-        config,
-        workers,
-        path,
-        options,
-        OraclePath::default(),
-    )
-}
-
-/// [`run_campaign_checkpointed`] on an explicit [`crate::OraclePath`].
-/// Both paths record the same backend identity in the journal manifest,
-/// so a journal written on one path resumes on the other (and the final
-/// report stays byte-identical either way).
-///
-/// # Errors
-///
-/// As [`run_campaign_checkpointed`].
-pub fn run_campaign_checkpointed_with_path(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    oracle_path: OraclePath,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        oracle_path.oracle(),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// [`run_campaign_checkpointed`] with the oracle dispatched through
-/// `backend` instead of the in-process simulator. The manifest records
-/// the backend's id and configuration hash, and every resume of the
-/// journal must present a matching backend
-/// ([`resume_campaign_with_backend`]) or is refused.
-///
-/// A job whose backend reports a machinery failure
-/// ([`spe_simcc::backend::BackendError`], as opposed to a compiler
-/// verdict) is **quarantined**: a [`FindingKind::BackendDegraded`]
-/// finding carrying the failing variant is committed, the job is marked
-/// done, and the campaign continues — a flaky backend degrades coverage
-/// visibly instead of hanging or poisoning the run. A job that
-/// **panics** is quarantined the same way as a
-/// [`FindingKind::JobPanicked`] finding (`DESIGN.md` §11).
-///
-/// # Errors
-///
-/// As [`run_campaign_checkpointed`].
-pub fn run_campaign_checkpointed_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    backend: &dyn CompilerBackend,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Backend(backend),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// Resumes the campaign whose journal lives at `path`.
-///
-/// The journal's valid prefix is replayed **streamingly** (a torn tail
-/// frame from the crash is truncated, and memory stays bounded by the
-/// live per-job state), finished jobs keep their recorded outputs,
-/// and unfinished jobs are re-dealt into the work-stealing queue with
-/// their shards re-seeded at the committed emission-index high-water
-/// marks via exact unranking — work before a mark is never re-enumerated,
-/// work after it is recomputed (identically, by determinism of the
-/// enumeration). `workers` only sizes the thread pool; the job
-/// decomposition is fixed by the manifest, and the completed report is
-/// byte-identical to an uninterrupted run regardless of either. A resumed
-/// run may itself be interrupted ([`CheckpointOptions::stop_after`]) and
-/// resumed again, any number of times.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Journal`] when the file is not a
-/// resumable journal (or another writer holds it),
-/// [`CheckpointError::Decode`] / [`CheckpointError::Foreign`] when its
-/// records do not decode against this build's schema and registries —
-/// including a journal recorded under a **different oracle backend**
-/// than the in-process simulator (use [`resume_campaign_with_backend`]
-/// for those).
-pub fn resume_campaign(
-    path: impl AsRef<Path>,
-    workers: usize,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    resume_campaign_with_path(path, workers, options, OraclePath::default())
-}
-
-/// [`resume_campaign`] on an explicit [`crate::OraclePath`]. A resume
-/// may use a different path than the run that wrote the journal — the
-/// two strategies share one backend identity and produce identical
-/// observations, so the replayed prefix and recomputed suffix always
-/// agree (the identity suite alternates paths across kill points to pin
-/// this).
-///
-/// # Errors
-///
-/// As [`resume_campaign`].
-pub fn resume_campaign_with_path(
-    path: impl AsRef<Path>,
-    workers: usize,
-    options: &CheckpointOptions,
-    oracle_path: OraclePath,
-) -> Result<CampaignStatus, CheckpointError> {
-    resume_supervised(
-        path.as_ref(),
-        workers,
-        options,
-        oracle_path.oracle(),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// [`resume_campaign`] for journals written by
-/// [`run_campaign_checkpointed_with_backend`]: `backend` must match the
-/// manifest's recorded backend id *and* configuration hash, otherwise
-/// the resume is refused with [`CheckpointError::Foreign`] — replayed
-/// frames mixed with a different oracle's recomputed suffix would match
-/// no uninterrupted run.
-///
-/// # Errors
-///
-/// As [`resume_campaign`], plus the backend-mismatch refusal above.
-pub fn resume_campaign_with_backend(
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    resume_supervised(
-        path.as_ref(),
-        workers,
-        options,
-        Oracle::Backend(backend),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// Prints absorbed-fault warnings to stderr and unwraps the status —
-/// the compatibility shim between the supervised [`Outcome`] and the
-/// historical `CampaignStatus`-returning API.
-fn warn_and_unwrap(outcome: Outcome) -> CampaignStatus {
-    for w in &outcome.warnings {
-        eprintln!("spe-harness: warning: {w}");
-    }
-    outcome.status
-}
-
-/// Builds the manifest and fresh journal for a checkpointed run, then
-/// hands everything to the supervised orchestrator.
-pub(crate) fn run_checkpointed_supervised(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: &Path,
-    options: &CheckpointOptions,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    let workers = workers.max(1);
-    let manifest = Manifest {
-        config: config.clone(),
-        shards_per_file: workers,
-        files: files.to_vec(),
-        backend_id: oracle.backend_id(),
-        backend_hash: oracle.config_hash(),
-        fleet: None,
-    };
-    let journal = Journal::create(path, &manifest.encode())?;
-    let jobs = (0..files.len() * workers).map(|_| JobState::default()).collect();
-    Ok(orchestrate::run(Spec {
-        files,
-        config,
-        shards_per_file: workers,
-        jobs,
-        workers,
-        every: options.every,
-        stop_after: options.stop_after,
-        journal: Some(journal),
-        oracle,
-        policy,
-    }))
-}
-
-/// Streams the journal into live state (lock → replay → truncate torn
-/// tail → append position, one pass over the file), then hands the
-/// unfinished jobs to the supervised orchestrator.
-pub(crate) fn resume_supervised(
-    path: &Path,
-    workers: usize,
-    options: &CheckpointOptions,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    let telemetry = spe_telemetry::global();
-    let replay_timer = spe_telemetry::Timer::start(&*telemetry);
-    let mut iter = JournalIter::open_locked(path)?;
-    let mut replay = Replay::new(iter.header())?;
-    replay.drain(&mut iter)?;
-    if telemetry.enabled() {
-        telemetry.span(
-            spe_telemetry::names::ORCH_REPLAY,
-            &format!("jobs={}", replay.jobs.len()),
-            replay_timer.stop_nanos(),
-        );
-    }
-    replay.manifest.check_backend(&oracle)?;
-    let Replay {
-        manifest,
-        mut jobs,
-        campaign_done,
-        ..
-    } = replay;
-    if let Some(stamp) = manifest.fleet {
-        // A host journal records frames only for its own slice; jobs
-        // outside it are re-marked done (empty partials) so the pool
-        // never deals them — the same pre-marking `fleet::run_host`
-        // applied on the first run. Replayed state on a foreign job
-        // means the journal and its stamp disagree: refuse it.
-        crate::fleet::mark_foreign_jobs_done(&mut jobs, stamp)?;
-    }
-    if campaign_done {
-        // Nothing to recompute: fold the recorded outputs directly.
-        drop(iter);
-        let outputs = jobs.into_iter().map(|j| j.partial).collect();
-        return Ok(Outcome {
-            status: CampaignStatus::Complete(merge_outputs(outputs)),
-            warnings: Vec::new(),
-        });
-    }
-    // The scan's writer lock carries straight into the appender: no
-    // other resume can slip a frame in between replay and append.
-    let journal = iter.into_appender()?;
-    Ok(orchestrate::run(Spec {
-        files: &manifest.files,
-        config: &manifest.config,
-        shards_per_file: manifest.shards_per_file,
-        jobs,
-        workers: workers.max(1),
-        every: options.every,
-        stop_after: options.stop_after,
-        journal: Some(journal),
-        oracle,
-        policy,
-    }))
 }
 
 // ---------------------------------------------------------------------
@@ -1075,65 +770,27 @@ fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, Chec
 // Checkpointed reduction stage.
 // ---------------------------------------------------------------------
 
-/// [`crate::reduction::reduce_findings`] with per-finding checkpoints
-/// appended to the campaign's journal at `path`.
+/// [`crate::Campaign::reduce`] with per-finding checkpoints appended to
+/// the campaign's journal at `path`.
 ///
 /// Witnesses recorded by an earlier (killed) reduction pass are replayed
 /// instead of recomputed; only missing findings fan out over the worker
 /// pool, each committing a `Reduced` frame as it lands. Since every
 /// witness is a pure function of its finding, the attached report —
 /// including the fingerprint/trigger dedup links — is byte-identical to
-/// an uninterrupted [`crate::reduction::reduce_findings`] at any worker
-/// count and any kill/resume history. A reducer that panics on one
-/// finding records it as irreducible with a stderr warning instead of
-/// killing the fan-out (`DESIGN.md` §11).
-///
-/// # Errors
-///
-/// Returns the same error classes as [`resume_campaign`]; the report is
-/// left unmodified on error.
-pub fn reduce_findings_checkpointed(
-    report: &mut CampaignReport,
-    options: &ReductionOptions,
-    workers: usize,
-    path: impl AsRef<Path>,
-) -> Result<(), CheckpointError> {
-    reduce_findings_checkpointed_oracle(report, options, workers, path.as_ref(), Oracle::Direct)
-}
-
-/// [`reduce_findings_checkpointed`] against a pluggable backend: the
-/// journal's manifest must have been recorded under the same backend id
-/// and configuration hash as `backend`, mirroring
-/// [`resume_campaign_with_backend`]'s refusal — reduction replays the
-/// oracle per candidate shrink, so a different backend would attach
-/// witnesses no uninterrupted run could produce.
-///
-/// # Errors
-///
-/// As [`reduce_findings_checkpointed`], plus the backend-mismatch
-/// refusal above.
-pub fn reduce_findings_checkpointed_with_backend(
-    report: &mut CampaignReport,
-    options: &ReductionOptions,
-    workers: usize,
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-) -> Result<(), CheckpointError> {
-    reduce_findings_checkpointed_oracle(
-        report,
-        options,
-        workers,
-        path.as_ref(),
-        Oracle::Backend(backend),
-    )
-}
-
-fn reduce_findings_checkpointed_oracle(
+/// an uninterrupted in-memory reduction at any worker count and any
+/// kill/resume history. A reducer that panics on one finding records it
+/// as irreducible with a stderr warning instead of killing the fan-out
+/// (`DESIGN.md` §11). The journal must have been recorded under
+/// `oracle`'s backend identity: reduction replays the oracle per
+/// candidate shrink, so a different backend would attach witnesses no
+/// uninterrupted run could produce.
+pub(crate) fn reduce_journaled(
     report: &mut CampaignReport,
     options: &ReductionOptions,
     workers: usize,
     path: &Path,
-    oracle: Oracle<'_>,
+    oracle: OraclePath<'_>,
 ) -> Result<(), CheckpointError> {
     let mut iter = JournalIter::open_locked(path)?;
     let mut replayed = Replay::new(iter.header())?;

@@ -11,13 +11,15 @@
 //! independently enumerable, so **no host touches any variant outside
 //! its slice**.
 //!
-//! * [`run_host`] runs one host's slice through the supervised
-//!   orchestrator ([`crate::orchestrate`]) into a host-scoped journal
-//!   whose manifest pins `(fleet_id, n_hosts, host_id)` next to the
-//!   backend identity — every supervision layer (panic quarantine,
-//!   checkpoint cadence, journal-fault degradation) applies per host
-//!   unchanged. A killed host resumes with [`resume_host`], on any
-//!   worker count, any number of times.
+//! * [`crate::Campaign::run_journaled`] with `host = Some((plan,
+//!   host_id))` (or its shorthand [`run_host`]) runs one host's slice
+//!   through the supervised orchestrator ([`crate::orchestrate`]) into a
+//!   host-scoped journal whose manifest pins `(fleet_id, n_hosts,
+//!   host_id)` next to the backend identity — every supervision layer
+//!   (panic quarantine, checkpoint cadence, journal-fault degradation)
+//!   applies per host unchanged. A killed host resumes with
+//!   [`crate::Campaign::resume`], like any journal, on any worker count,
+//!   any number of times.
 //! * [`merge_journals`] streams every host journal
 //!   ([`spe_persist::JournalSet`]), validates that the manifests
 //!   describe one fleet (refusing mixed fleets, duplicate host ids, and
@@ -43,12 +45,10 @@
 use crate::checkpoint::{
     CampaignStatus, CheckpointError, CheckpointOptions, FleetStamp, JobState, Manifest, Replay,
 };
-use crate::orchestrate::{self, FaultPolicy, Outcome, Spec};
-use crate::{merge_outputs, CampaignConfig, CampaignReport, Oracle, OraclePath};
+use crate::{merge_outputs, Campaign, CampaignConfig, CampaignReport};
 use spe_combinatorics::even_ranges;
 use spe_corpus::TestFile;
-use spe_persist::{Journal, JournalError, JournalSet, TailCorruption};
-use spe_simcc::backend::CompilerBackend;
+use spe_persist::{JournalError, JournalSet, TailCorruption};
 use spe_telemetry::{names, Timer};
 use std::fmt;
 use std::ops::Range;
@@ -111,7 +111,7 @@ impl FleetPlan {
             .position(|r| r.contains(&job))
     }
 
-    fn stamp(&self, host_id: usize) -> FleetStamp {
+    pub(crate) fn stamp(&self, host_id: usize) -> FleetStamp {
         FleetStamp {
             fleet_id: self.fleet_id,
             n_hosts: self.n_hosts.max(1) as u32,
@@ -234,7 +234,7 @@ impl fmt::Display for FleetError {
             FleetError::HostIncomplete { host, path, job } => write!(
                 f,
                 "host {host} ({}) has not finished job {job} of its slice; \
-                 resume it to completion (fleet::resume_host) before merging",
+                 resume it to completion (Campaign::resume) before merging",
                 path.display()
             ),
             FleetError::ForeignJob { host, path, job } => write!(
@@ -304,27 +304,15 @@ pub struct MergedFleet {
     pub hosts: Vec<HostSummary>,
 }
 
-/// Runs host `host_id`'s slice of the fleet campaign into a fresh
-/// host-scoped journal at `path` (any existing file is replaced).
-///
-/// The journal's manifest pins the corpus, configuration, decomposition
-/// and backend identity — exactly as a single-host checkpointed run —
-/// plus the fleet stamp `(fleet_id, n_hosts, host_id)`. Only the jobs
-/// of [`FleetPlan::host_jobs`]`(host_id)` are dealt to the worker pool;
-/// `workers` sizes that pool and nothing else, so hosts of one fleet
-/// may use different worker counts freely.
-///
-/// A completed host returns [`CampaignStatus::Complete`] with its
-/// **partial** report (its slice only — meaningful for monitoring, not
-/// a campaign result); the campaign result comes from
-/// [`merge_journals`] over all hosts. An interrupted host (kill,
-/// [`CheckpointOptions::stop_after`]) resumes with [`resume_host`].
+/// [`Campaign::run_journaled`] of host `host_id`'s slice on `workers`
+/// workers, with absorbed-fault warnings printed to stderr. A completed
+/// host returns its **partial** report (its slice only); the campaign
+/// result comes from [`merge_journals`] over all hosts. An interrupted
+/// host resumes with [`Campaign::resume`].
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Journal`] when the journal cannot be created,
-/// [`CheckpointError::Foreign`] when `host_id` is out of the plan's
-/// range.
+/// As [`Campaign::run_journaled`].
 pub fn run_host(
     plan: &FleetPlan,
     host_id: usize,
@@ -334,114 +322,15 @@ pub fn run_host(
     path: impl AsRef<Path>,
     options: &CheckpointOptions,
 ) -> Result<CampaignStatus, CheckpointError> {
-    run_host_with_path(
-        plan,
-        host_id,
-        files,
-        config,
+    let outcome = Campaign {
         workers,
-        path,
-        options,
-        OraclePath::default(),
-    )
-}
-
-/// [`run_host`] on an explicit [`OraclePath`]. As with single-host
-/// campaigns, both paths share one backend identity: hosts of one
-/// fleet may mix paths and the merged report is unchanged.
-///
-/// # Errors
-///
-/// As [`run_host`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_host_with_path(
-    plan: &FleetPlan,
-    host_id: usize,
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    oracle_path: OraclePath,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_host_oracle(
-        plan,
-        host_id,
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        oracle_path.oracle(),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// [`run_host`] with the oracle dispatched through `backend`; the
-/// journal pins the backend's id and configuration hash, and resumes
-/// must present a matching backend
-/// ([`crate::checkpoint::resume_campaign_with_backend`]).
-///
-/// # Errors
-///
-/// As [`run_host`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_host_with_backend(
-    plan: &FleetPlan,
-    host_id: usize,
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    backend: &dyn CompilerBackend,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_host_oracle(
-        plan,
-        host_id,
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Backend(backend),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// Resumes an interrupted host from its journal — identical to
-/// [`crate::checkpoint::resume_campaign`] (host journals **are**
-/// campaign journals; the fleet stamp rides in the manifest), re-dealt
-/// on any worker count, resumable any number of times. The slice is
-/// recovered from the stamp, so nothing but the path is needed.
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign`], plus
-/// [`CheckpointError::Foreign`] when the journal records state outside
-/// its host's slice.
-pub fn resume_host(
-    path: impl AsRef<Path>,
-    workers: usize,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    crate::checkpoint::resume_campaign(path, workers, options)
-}
-
-/// [`resume_host`] for journals written by [`run_host_with_backend`].
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign_with_backend`].
-pub fn resume_host_with_backend(
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    crate::checkpoint::resume_campaign_with_backend(path, backend, workers, options)
+        ..Campaign::default()
+    }
+    .run_journaled(files, config, path, options, Some((plan, host_id)))?;
+    for w in &outcome.warnings {
+        eprintln!("spe-harness: warning: {w}");
+    }
+    Ok(outcome.status)
 }
 
 /// Merges one fleet's host journals into the campaign report —
@@ -633,10 +522,10 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     })
 }
 
-/// Re-marks every job outside the stamped host's slice as done (the
-/// pre-marking [`run_host`] applied on the first run, which journals do
-/// not record), and refuses journals whose replayed state contradicts
-/// the stamp. Called by every resume of a fleet journal.
+/// Marks every job outside the stamped host's slice as done, so the pool
+/// never deals it, and refuses replayed state that contradicts the
+/// stamp. Called by a fleet host's first run and by every resume of its
+/// journal (journals do not record the marking).
 pub(crate) fn mark_foreign_jobs_done(
     jobs: &mut [JobState],
     stamp: FleetStamp,
@@ -659,86 +548,4 @@ pub(crate) fn mark_foreign_jobs_done(
         job.done = true;
     }
     Ok(())
-}
-
-/// Prints absorbed-fault warnings to stderr and unwraps the status —
-/// the same shim the single-host wrappers use.
-fn warn_and_unwrap(outcome: Outcome) -> CampaignStatus {
-    for w in &outcome.warnings {
-        eprintln!("spe-harness: warning: {w}");
-    }
-    outcome.status
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_host_oracle(
-    plan: &FleetPlan,
-    host_id: usize,
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: &Path,
-    options: &CheckpointOptions,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    let n_hosts = plan.n_hosts.max(1);
-    if host_id >= n_hosts {
-        return Err(CheckpointError::Foreign(format!(
-            "host {host_id} is out of the plan's {n_hosts} hosts"
-        )));
-    }
-    let shards_per_file = plan.shards_per_file.max(1);
-    let manifest = Manifest {
-        config: config.clone(),
-        shards_per_file,
-        files: files.to_vec(),
-        backend_id: oracle.backend_id(),
-        backend_hash: oracle.config_hash(),
-        fleet: Some(plan.stamp(host_id)),
-    };
-    let journal = Journal::create(path, &manifest.encode())?;
-    let job_count = files.len() * shards_per_file;
-    let owned = even_ranges(job_count, n_hosts)[host_id].clone();
-    let telemetry = spe_telemetry::global();
-    let timer = Timer::start(&*telemetry);
-    if telemetry.enabled() {
-        telemetry.gauge(
-            names::FLEET_JOBS_OWNED,
-            i64::try_from(owned.len()).unwrap_or(i64::MAX),
-        );
-    }
-    // Jobs outside the slice are pre-marked done: the pool never deals
-    // them, no frames are written for them, and their empty partials
-    // contribute nothing to the host's partial report.
-    let jobs = (0..job_count)
-        .map(|j| JobState {
-            done: !owned.contains(&j),
-            ..JobState::default()
-        })
-        .collect();
-    let outcome = orchestrate::run(Spec {
-        files,
-        config,
-        shards_per_file,
-        jobs,
-        workers: workers.max(1),
-        every: options.every,
-        stop_after: options.stop_after,
-        journal: Some(journal),
-        oracle,
-        policy,
-    });
-    if telemetry.enabled() {
-        telemetry.span(
-            names::FLEET_HOST_RUN,
-            &format!(
-                "fleet={:#x} host={host_id}/{n_hosts} jobs={}",
-                plan.fleet_id,
-                owned.len()
-            ),
-            timer.stop_nanos(),
-        );
-    }
-    Ok(outcome)
 }

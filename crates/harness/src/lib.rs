@@ -3,23 +3,33 @@
 //!
 //! This crate is the paper's §5 experimental machinery:
 //!
-//! * [`run_campaign`] enumerates SPE variants of a corpus and feeds them
-//!   to one or more [`Compiler`]s, detecting **crash bugs** (internal
-//!   compiler errors, deduplicated by signature as in Table 3), **wrong
-//!   code** (differential mismatch between the UB-checked reference
-//!   interpreter and the compiled VM image), and **performance bugs**;
+//! * [`Campaign`] is the one way to run a campaign: a worker count, an
+//!   [`OraclePath`] and a [`FaultPolicy`]. Its four methods run in
+//!   memory ([`Campaign::run`]), into a resumable journal, optionally as
+//!   one host of a fleet ([`Campaign::run_journaled`]), resume such a
+//!   journal ([`Campaign::resume`]), and reduce the findings
+//!   ([`Campaign::reduce`]). Every variant reaches the oracle through
+//!   the one supervised loop in [`orchestrate`]. The campaign detects
+//!   **crash bugs** (internal compiler errors, deduplicated by signature
+//!   as in Table 3), **wrong code** (differential mismatch between the
+//!   UB-checked reference interpreter and the compiled VM image), and
+//!   **performance bugs**;
+//! * [`run_campaign`] is the pool-free serial loop the parallel and
+//!   journaled runs are compared against; [`run_campaign_parallel`],
+//!   [`run_campaign_parallel_with_path`], [`run_host`] and
+//!   [`reduction::reduce_findings`] are one-line shorthands for
+//!   [`Campaign`];
 //! * [`triage`] aggregates findings into the paper's Table 4 and
 //!   Figure 10 shapes using the seeded-bug registry metadata;
 //! * [`mutation`] implements the Orion-style statement-deletion baseline
 //!   (PM-X in Figure 9);
 //! * [`coverage_run`] measures pass/point coverage improvements of SPE
 //!   and mutation variants over the baseline suite (Figure 9);
-//! * [`checkpoint`] makes campaigns (and the [`reduction`] stage)
-//!   checkpointable and resumable over an [`spe_persist`] journal, with
-//!   final reports byte-identical to uninterrupted runs (`DESIGN.md` §9);
-//! * [`orchestrate`] is the one supervised worker-pool loop behind every
-//!   parallel and checkpointed entry point — panic isolation, checkpoint
-//!   cadence, and journal-fault degradation (`DESIGN.md` §11).
+//! * [`checkpoint`] holds the journal schema, replay and compaction
+//!   behind resumable campaigns and reductions, with final reports
+//!   byte-identical to uninterrupted runs (`DESIGN.md` §9);
+//! * [`fleet`] partitions one campaign across hosts and merges their
+//!   journals (`DESIGN.md` §14).
 
 #![warn(missing_docs)]
 
@@ -33,6 +43,7 @@ use spe_simcc::incremental::{CacheStats, CachedOracle};
 use spe_simcc::{interp, CompileError, Compiler, CompilerId, Observation};
 use spe_telemetry::{names, Sink as TelemetrySink, Timer};
 use std::collections::HashMap;
+use std::fmt;
 use std::ops::ControlFlow;
 
 pub mod checkpoint;
@@ -44,42 +55,53 @@ pub mod reduction;
 pub mod steal;
 pub mod triage;
 
-pub use checkpoint::{
-    resume_campaign, resume_campaign_with_path, run_campaign_checkpointed,
-    run_campaign_checkpointed_with_path, CampaignStatus, CheckpointError, CheckpointOptions,
-};
+pub use checkpoint::{CampaignStatus, CheckpointError, CheckpointOptions};
 pub use fleet::{
-    merge_journals, merge_journals_detailed, resume_host, run_host, FleetError, FleetPlan,
-    HostSummary, MergedFleet,
+    merge_journals, merge_journals_detailed, run_host, FleetError, FleetPlan, HostSummary,
+    MergedFleet,
 };
+pub use orchestrate::{Campaign, FaultPolicy, Outcome};
 pub use reduction::ReducedWitness;
 
-/// Which per-variant execution strategy the in-process oracle uses.
-/// Both produce byte-identical [`CampaignReport`]s on the same inputs
-/// (pinned by `tests/oracle_identity.rs` at every worker count,
-/// including kill/resume histories that alternate paths); they differ
-/// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OraclePath {
+/// How a campaign reaches its oracle. The two in-process strategies
+/// produce byte-identical [`CampaignReport`]s on the same inputs (pinned
+/// by `tests/oracle_identity.rs` at every worker count, including
+/// kill/resume histories that alternate them) and differ only in speed;
+/// [`OraclePath::Backend`] dispatches through any [`CompilerBackend`],
+/// and with the in-process [`spe_simcc::backend::SimccBackend`] it is
+/// byte-identical to the round trip (`tests/backend_identity.rs`).
+/// Keeping the round trip intact is what makes both suites real
+/// two-implementation comparisons.
+#[derive(Clone, Copy, Default)]
+pub enum OraclePath<'a> {
     /// Splice-don't-reparse ([`spe_simcc::incremental`]): each (file,
     /// shard) job parses its first rendered variant once and splices
     /// every later variant's name bindings directly into the cached AST,
     /// memoizing pass-pipeline results across configurations. The
     /// default — roughly an order of magnitude faster on
-    /// enumeration-heavy campaigns.
+    /// enumeration-heavy campaigns. Journal-compatible with
+    /// [`OraclePath::RoundTrip`] (same backend identity), so a journaled
+    /// campaign can alternate the two across kill/resume cycles.
     #[default]
     Incremental,
-    /// The historical render → lex → parse → compile round trip for
-    /// every variant. The reference implementation the identity suite
-    /// compares against; also useful to isolate cache bugs.
+    /// `spe_simcc` called in-process, no trait dispatch: the historical
+    /// render → lex → parse → compile round trip for every variant. The
+    /// independent witness the identity suites compare against; also
+    /// useful to isolate cache bugs.
     RoundTrip,
+    /// Any [`CompilerBackend`], including the in-process one — the way
+    /// to fuzz an external compiler. Jobs whose backend persistently
+    /// fails are quarantined as [`FindingKind::BackendDegraded`]
+    /// findings instead of aborting the campaign.
+    Backend(&'a dyn CompilerBackend),
 }
 
-impl OraclePath {
-    pub(crate) fn oracle(self) -> Oracle<'static> {
+impl fmt::Debug for OraclePath<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OraclePath::Incremental => Oracle::Incremental,
-            OraclePath::RoundTrip => Oracle::Direct,
+            OraclePath::Incremental => f.write_str("Incremental"),
+            OraclePath::RoundTrip => f.write_str("RoundTrip"),
+            OraclePath::Backend(b) => write!(f, "Backend({})", b.id()),
         }
     }
 }
@@ -191,6 +213,32 @@ pub struct Finding {
     pub fingerprint_duplicate_of: Option<String>,
 }
 
+impl Finding {
+    /// A fresh, not yet deduplicated or reduced finding of `kind` that
+    /// `cc` exhibited on variant `src` of `file`.
+    fn candidate(
+        kind: FindingKind,
+        cc: &Compiler,
+        signature: String,
+        bug_id: Option<&'static str>,
+        file: &TestFile,
+        src: &str,
+    ) -> Finding {
+        Finding {
+            kind,
+            compiler: cc.id(),
+            opt: cc.opt(),
+            signature,
+            bug_id,
+            file: file.name.clone(),
+            reproducer: src.to_string(),
+            duplicate_of: None,
+            reduced: None,
+            fingerprint_duplicate_of: None,
+        }
+    }
+}
+
 /// Aggregate campaign results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignReport {
@@ -267,38 +315,30 @@ fn process_variant(file: &TestFile, src: &str, config: &CampaignConfig, out: &mu
         out.variants_tested += 1;
         match cc.compile(&prog) {
             Err(CompileError::Ice(ice)) => {
-                out.candidates.push(Finding {
-                    kind: FindingKind::Crash,
-                    compiler: cc.id(),
-                    opt: cc.opt(),
-                    signature: ice.signature.to_string(),
-                    bug_id: Some(ice.bug_id),
-                    file: file.name.clone(),
-                    reproducer: src.to_string(),
-                    duplicate_of: None,
-                    reduced: None,
-                    fingerprint_duplicate_of: None,
-                });
+                out.candidates.push(Finding::candidate(
+                    FindingKind::Crash,
+                    cc,
+                    ice.signature.to_string(),
+                    Some(ice.bug_id),
+                    file,
+                    src,
+                ));
             }
             Err(CompileError::Unsupported(_)) => {}
             Ok(compiled) => {
                 for slow in &compiled.slow_compile_bugs {
-                    out.candidates.push(Finding {
-                        kind: FindingKind::Performance,
-                        compiler: cc.id(),
-                        opt: cc.opt(),
-                        signature: format!(
+                    out.candidates.push(Finding::candidate(
+                        FindingKind::Performance,
+                        cc,
+                        format!(
                             "compile time blow-up in {} at -O{}",
                             cc.id().family,
                             cc.opt()
                         ),
-                        bug_id: Some(slow),
-                        file: file.name.clone(),
-                        reproducer: src.to_string(),
-                        duplicate_of: None,
-                        reduced: None,
-                        fingerprint_duplicate_of: None,
-                    });
+                        Some(slow),
+                        file,
+                        src,
+                    ));
                 }
                 if config.check_wrong_code {
                     // Evaluate the reference once per variant, with the
@@ -318,24 +358,19 @@ fn process_variant(file: &TestFile, src: &str, config: &CampaignConfig, out: &mu
                         Ok(expected) => {
                             if spe_simcc::differs_from_reference(&compiled, expected, config.fuel)
                             {
-                                let bug_id = compiled.miscompiled_by.first().copied();
-                                out.candidates.push(Finding {
-                                    kind: FindingKind::WrongCode,
-                                    compiler: cc.id(),
-                                    opt: cc.opt(),
-                                    signature: format!(
+                                out.candidates.push(Finding::candidate(
+                                    FindingKind::WrongCode,
+                                    cc,
+                                    format!(
                                         "wrong code: {} at -O{} on {}",
                                         cc.id().family,
                                         cc.opt(),
                                         file.name
                                     ),
-                                    bug_id,
-                                    file: file.name.clone(),
-                                    reproducer: src.to_string(),
-                                    duplicate_of: None,
-                                    reduced: None,
-                                    fingerprint_duplicate_of: None,
-                                });
+                                    compiled.miscompiled_by.first().copied(),
+                                    file,
+                                    src,
+                                ));
                             }
                         }
                     }
@@ -345,48 +380,27 @@ fn process_variant(file: &TestFile, src: &str, config: &CampaignConfig, out: &mu
     }
 }
 
-/// How a campaign reaches its oracle: the direct in-process path (the
-/// historical [`process_variant`] code, byte-for-byte), dispatch
-/// through a [`CompilerBackend`], or the incremental splice-don't-reparse
-/// path ([`spe_simcc::incremental`]). Direct and backend dispatch are
-/// proven byte-identical for the in-process backend by
-/// `tests/backend_identity.rs`; incremental and round-trip are proven
-/// byte-identical by `tests/oracle_identity.rs`. Keeping the direct arm
-/// intact is what makes both suites real two-implementation comparisons.
-#[derive(Clone, Copy)]
-pub(crate) enum Oracle<'a> {
-    /// `spe_simcc` called in-process, no trait dispatch: render → parse
-    /// → compile for every variant (the round-trip reference path).
-    Direct,
-    /// `spe_simcc` through a per-job [`IncrementalSession`]: the
-    /// skeleton's AST is parsed once and each variant's name bindings
-    /// are spliced in. Journal-compatible with [`Oracle::Direct`] (same
-    /// backend identity), so a checkpointed campaign can alternate paths
-    /// across kill/resume cycles.
-    Incremental,
-    /// Any [`CompilerBackend`], including the in-process one.
-    Backend(&'a dyn CompilerBackend),
-}
-
-impl Oracle<'_> {
+impl OraclePath<'_> {
     /// The backend id recorded in checkpoint-journal manifests.
     pub(crate) fn backend_id(&self) -> String {
         match self {
-            // Incremental and direct are two execution strategies of the
-            // same oracle semantics — they share one identity, so their
-            // journals resume interchangeably.
-            Oracle::Direct | Oracle::Incremental => {
+            // Incremental and round trip are two execution strategies of
+            // the same oracle semantics — they share one identity, so
+            // their journals resume interchangeably.
+            OraclePath::Incremental | OraclePath::RoundTrip => {
                 spe_simcc::backend::SIMCC_BACKEND_ID.to_string()
             }
-            Oracle::Backend(b) => b.id().to_string(),
+            OraclePath::Backend(b) => b.id().to_string(),
         }
     }
 
     /// The backend configuration hash recorded next to the id.
     pub(crate) fn config_hash(&self) -> u64 {
         match self {
-            Oracle::Direct | Oracle::Incremental => spe_simcc::backend::SIMCC_CONFIG_HASH,
-            Oracle::Backend(b) => b.config_hash(),
+            OraclePath::Incremental | OraclePath::RoundTrip => {
+                spe_simcc::backend::SIMCC_CONFIG_HASH
+            }
+            OraclePath::Backend(b) => b.config_hash(),
         }
     }
 
@@ -397,7 +411,7 @@ impl Oracle<'_> {
     /// all see exactly the state the round-trip oracle would).
     pub(crate) fn session<'s>(&self, sk: &'s Skeleton) -> Option<IncrementalSession<'s>> {
         match self {
-            Oracle::Incremental => Some(IncrementalSession::new(sk)),
+            OraclePath::Incremental => Some(IncrementalSession::new(sk)),
             _ => None,
         }
     }
@@ -429,14 +443,14 @@ impl Oracle<'_> {
         out: &mut ShardOutput,
     ) -> Result<(), BackendError> {
         match self {
-            // Without a per-job session (the reduction stage, or a job
-            // that fell back), the incremental oracle degenerates to the
-            // direct path — same semantics, no cache.
-            Oracle::Direct | Oracle::Incremental => {
+            // Without a per-job session (a job that fell back), the
+            // incremental oracle degenerates to the round trip — same
+            // semantics, no cache.
+            OraclePath::Incremental | OraclePath::RoundTrip => {
                 process_variant(file, src, config, out);
                 Ok(())
             }
-            Oracle::Backend(b) => process_variant_backend(file, src, config, *b, out),
+            OraclePath::Backend(b) => process_variant_backend(file, src, config, *b, out),
         }
     }
 }
@@ -444,7 +458,7 @@ impl Oracle<'_> {
 /// Runs one per-variant oracle invocation `f`, recording its latency
 /// into the per-verdict oracle histogram (`oracle_ns.<verdict>`) and the
 /// campaign counters of `telemetry` when the sink is enabled. The shared
-/// instrumentation seam of [`Oracle::process_variant`] and
+/// instrumentation seam of [`OraclePath::process_variant`] and
 /// [`IncrementalSession::process_variant`]: exactly one histogram sample
 /// per variant, whichever execution path produced the observations.
 fn process_timed(
@@ -545,62 +559,50 @@ fn emit_observations(
     for (cc, obs) in config.compilers.iter().zip(observations) {
         out.variants_tested += 1;
         if let Some(ice) = &obs.ice {
-            out.candidates.push(Finding {
-                kind: FindingKind::Crash,
-                compiler: cc.id(),
-                opt: cc.opt(),
-                signature: ice.signature.to_string(),
-                bug_id: Some(ice.bug_id),
-                file: file.name.clone(),
-                reproducer: src.to_string(),
-                duplicate_of: None,
-                reduced: None,
-                fingerprint_duplicate_of: None,
-            });
+            out.candidates.push(Finding::candidate(
+                FindingKind::Crash,
+                cc,
+                ice.signature.to_string(),
+                Some(ice.bug_id),
+                file,
+                src,
+            ));
             continue;
         }
         if obs.unsupported {
             continue;
         }
         for slow in &obs.slow_compile {
-            out.candidates.push(Finding {
-                kind: FindingKind::Performance,
-                compiler: cc.id(),
-                opt: cc.opt(),
-                signature: format!(
+            out.candidates.push(Finding::candidate(
+                FindingKind::Performance,
+                cc,
+                format!(
                     "compile time blow-up in {} at -O{}",
                     cc.id().family,
                     cc.opt()
                 ),
-                bug_id: Some(slow),
-                file: file.name.clone(),
-                reproducer: src.to_string(),
-                duplicate_of: None,
-                reduced: None,
-                fingerprint_duplicate_of: None,
-            });
+                Some(slow),
+                file,
+                src,
+            ));
         }
         if config.check_wrong_code {
             if obs.reference_ub {
                 out.variants_ub_skipped += 1;
             } else if obs.wrong_code {
-                out.candidates.push(Finding {
-                    kind: FindingKind::WrongCode,
-                    compiler: cc.id(),
-                    opt: cc.opt(),
-                    signature: format!(
+                out.candidates.push(Finding::candidate(
+                    FindingKind::WrongCode,
+                    cc,
+                    format!(
                         "wrong code: {} at -O{} on {}",
                         cc.id().family,
                         cc.opt(),
                         file.name
                     ),
-                    bug_id: obs.miscompiled_by.first().copied(),
-                    file: file.name.clone(),
-                    reproducer: src.to_string(),
-                    duplicate_of: None,
-                    reduced: None,
-                    fingerprint_duplicate_of: None,
-                });
+                    obs.miscompiled_by.first().copied(),
+                    file,
+                    src,
+                ));
             }
         }
     }
@@ -650,7 +652,7 @@ impl<'s> IncrementalSession<'s> {
         }
     }
 
-    /// [`Oracle::process_variant`] through the splice cache: identical
+    /// [`OraclePath::process_variant`] through the splice cache: identical
     /// findings and counters, one `oracle_ns.<verdict>` histogram sample,
     /// plus the `oracle_cache.*` effectiveness counters.
     pub(crate) fn process_variant(
@@ -663,7 +665,7 @@ impl<'s> IncrementalSession<'s> {
         telemetry: &dyn TelemetrySink,
     ) -> Result<(), BackendError> {
         if self.fallback {
-            return Oracle::Direct.process_variant(file, src, config, out, telemetry);
+            return OraclePath::RoundTrip.process_variant(file, src, config, out, telemetry);
         }
         if !self.started {
             self.started = true;
@@ -685,7 +687,8 @@ impl<'s> IncrementalSession<'s> {
                     // an unmappable hole: take the round-trip path for
                     // the whole job.
                     self.fallback = true;
-                    return Oracle::Direct.process_variant(file, src, config, out, telemetry);
+                    return OraclePath::RoundTrip
+                        .process_variant(file, src, config, out, telemetry);
                 }
             }
         }
@@ -727,77 +730,32 @@ impl<'s> IncrementalSession<'s> {
     }
 }
 
-/// The quarantine record of a (file, shard) job whose oracle backend
-/// persistently failed: the campaign carries on, and the report keeps
-/// an auditable [`FindingKind::BackendDegraded`] entry carrying the
-/// failing variant as its reproducer.
-pub(crate) fn degraded_finding(
-    file: &TestFile,
-    shard: usize,
-    variant_src: &str,
-    config: &CampaignConfig,
-    err: &BackendError,
-) -> Finding {
-    let (compiler, opt) = match config.compilers.first() {
-        Some(cc) => (cc.id(), cc.opt()),
-        None => (
-            CompilerId {
-                family: intern("backend"),
-                version: 0,
-            },
-            0,
-        ),
-    };
-    Finding {
-        kind: FindingKind::BackendDegraded,
-        compiler,
-        opt,
-        signature: format!(
-            "backend degraded: {} shard {}: {}",
-            file.name, shard, err.what
-        ),
-        bug_id: None,
-        file: file.name.clone(),
-        reproducer: variant_src.to_string(),
-        duplicate_of: None,
-        reduced: None,
-        fingerprint_duplicate_of: None,
-    }
-}
-
-/// The quarantine record of a (file, shard) job whose worker panicked:
-/// the [`FindingKind::JobPanicked`] counterpart of [`degraded_finding`],
-/// carrying the variant that was being processed when the panic fired
-/// and the panic message.
-pub(crate) fn panicked_finding(
+/// The quarantine record of a (file, shard) job the campaign gave up
+/// on: a [`FindingKind::BackendDegraded`] job whose oracle backend
+/// persistently failed, or a [`FindingKind::JobPanicked`] job whose
+/// worker panicked. The campaign carries on, and the report keeps an
+/// auditable entry carrying the variant being processed as its
+/// reproducer and `what` went wrong (the backend error or the panic
+/// message) in its signature.
+pub(crate) fn quarantine_finding(
+    kind: FindingKind,
     file: &TestFile,
     shard: usize,
     variant_src: &str,
     config: &CampaignConfig,
     what: &str,
 ) -> Finding {
-    let (compiler, opt) = match config.compilers.first() {
-        Some(cc) => (cc.id(), cc.opt()),
-        None => (
+    let cc = config.compilers.first().copied().unwrap_or_else(|| {
+        Compiler::new(
             CompilerId {
                 family: intern("backend"),
                 version: 0,
             },
             0,
-        ),
-    };
-    Finding {
-        kind: FindingKind::JobPanicked,
-        compiler,
-        opt,
-        signature: format!("job panicked: {} shard {}: {}", file.name, shard, what),
-        bug_id: None,
-        file: file.name.clone(),
-        reproducer: variant_src.to_string(),
-        duplicate_of: None,
-        reduced: None,
-        fingerprint_duplicate_of: None,
-    }
+        )
+    });
+    let signature = format!("{}: {} shard {}: {}", kind.label(), file.name, shard, what);
+    Finding::candidate(kind, &cc, signature, None, file, variant_src)
 }
 
 /// Processes one (file, shard) work item: enumerates the shard's slice of
@@ -809,7 +767,7 @@ fn process_work_item(
     shards_per_file: usize,
     config: &CampaignConfig,
     buf: &mut String,
-    oracle: Oracle<'_>,
+    oracle: OraclePath<'_>,
 ) -> ShardOutput {
     match prepare_file(file, shards_per_file, config) {
         None => ShardOutput::default(),
@@ -859,7 +817,7 @@ fn process_file_shard(
     shards_per_file: usize,
     config: &CampaignConfig,
     buf: &mut String,
-    oracle: Oracle<'_>,
+    oracle: OraclePath<'_>,
 ) -> ShardOutput {
     let mut out = ShardOutput {
         file_processed: shard == 0,
@@ -883,7 +841,14 @@ fn process_file_shard(
             match result {
                 Ok(()) => ControlFlow::Continue(()),
                 Err(e) => {
-                    out.candidates.push(degraded_finding(file, shard, buf, config, &e));
+                    out.candidates.push(quarantine_finding(
+                        FindingKind::BackendDegraded,
+                        file,
+                        shard,
+                        buf,
+                        config,
+                        &e.what,
+                    ));
                     ControlFlow::Break(())
                 }
             }
@@ -913,134 +878,53 @@ fn merge_outputs(outputs: Vec<ShardOutput>) -> CampaignReport {
     report
 }
 
-/// Runs an SPE bug-hunting campaign over `files`.
+/// Runs an SPE bug-hunting campaign over `files`, serially and without
+/// a worker pool.
 ///
 /// Crash detection needs only compilation; the wrong-code oracle runs the
 /// UB-checking reference interpreter first and skips undefined variants,
 /// exactly as §5.4 prescribes.
 ///
-/// Runs on the incremental oracle path ([`OraclePath::Incremental`]);
-/// use [`run_campaign_with_path`] to force the round trip.
+/// Runs on the incremental oracle path ([`OraclePath::Incremental`]).
+/// This loop shares nothing with the supervised pool but the per-variant
+/// oracle, which makes it the reference every [`Campaign`] report is
+/// compared against: they are byte-identical at every worker count.
 pub fn run_campaign(files: &[TestFile], config: &CampaignConfig) -> CampaignReport {
-    run_campaign_oracle(files, config, Oracle::Incremental)
-}
-
-/// [`run_campaign`] on an explicit [`OraclePath`]. Reports are
-/// byte-identical across paths; the differential identity suite runs
-/// both and compares.
-pub fn run_campaign_with_path(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    path: OraclePath,
-) -> CampaignReport {
-    run_campaign_oracle(files, config, path.oracle())
-}
-
-/// [`run_campaign`] with the oracle dispatched through a
-/// [`CompilerBackend`] — the entry point for external-compiler
-/// campaigns. With the in-process [`spe_simcc::backend::SimccBackend`]
-/// the report is byte-identical to [`run_campaign`]; with a subprocess
-/// backend, jobs whose backend persistently fails are quarantined as
-/// [`FindingKind::BackendDegraded`] findings instead of aborting the
-/// campaign.
-pub fn run_campaign_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    backend: &dyn CompilerBackend,
-) -> CampaignReport {
-    run_campaign_oracle(files, config, Oracle::Backend(backend))
-}
-
-fn run_campaign_oracle(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    oracle: Oracle<'_>,
-) -> CampaignReport {
     let mut buf = String::new();
     merge_outputs(
         files
             .iter()
-            .map(|file| process_work_item(file, 0, 1, config, &mut buf, oracle))
+            .map(|file| process_work_item(file, 0, 1, config, &mut buf, OraclePath::Incremental))
             .collect(),
     )
 }
 
-/// Runs the campaign with a pool of `workers` threads, fanning
-/// `files × shards` work items across the pool (each file's variant space
-/// is cut into `workers` shards, so even a single large file parallelizes).
-/// Work items live in a shared work-stealing queue ([`steal::WorkQueue`]):
-/// each worker is dealt a contiguous run of items — so consecutive shards
-/// of one file stay on one thread, keeping its prepared variant space warm
-/// — and a worker that runs dry steals from the back of the first
-/// non-empty neighbour (scanning round-robin), smoothing skew when one
-/// file's variants compile much slower than the rest. Each worker renders
-/// variants through one reusable buffer.
-///
-/// The merged [`CampaignReport`] — finding order, dedup decisions,
-/// reproducers and counters — is **byte-identical** to [`run_campaign`] on
-/// the same inputs, for any worker count: outputs are folded in
-/// deterministic (file, shard) order regardless of completion order, and
-/// within that order findings keep their stable (file, compiler,
-/// signature) emission sequence.
-///
-/// A thin wrapper over [`orchestrate`]'s supervised loop (no checkpoint
-/// sink): workers additionally run each job under panic isolation, so a
-/// poisoned variant quarantines its (file, shard) job as a
-/// [`FindingKind::JobPanicked`] finding instead of crashing the process.
+/// [`Campaign::run`] with `workers` workers on the default oracle.
 pub fn run_campaign_parallel(
     files: &[TestFile],
     config: &CampaignConfig,
     workers: usize,
 ) -> CampaignReport {
-    run_campaign_parallel_with_path(files, config, workers, OraclePath::Incremental)
+    Campaign {
+        workers,
+        ..Campaign::default()
+    }
+    .run(files, config)
 }
 
-/// [`run_campaign_parallel`] on an explicit [`OraclePath`]. Reports are
-/// byte-identical across paths and worker counts.
+/// [`Campaign::run`] with `workers` workers on the oracle `path`.
 pub fn run_campaign_parallel_with_path(
     files: &[TestFile],
     config: &CampaignConfig,
     workers: usize,
-    path: OraclePath,
+    path: OraclePath<'_>,
 ) -> CampaignReport {
-    complete_report(orchestrate::campaign_oracle(
-        files,
-        config,
+    Campaign {
         workers,
-        path.oracle(),
-        orchestrate::FaultPolicy::default(),
-    ))
-}
-
-/// [`run_campaign_parallel`] through a [`CompilerBackend`]: the
-/// work-stealing pool, deterministic merge and byte-identity guarantees
-/// are unchanged; only the oracle is dispatched. Backends that shell out
-/// should size their process pool to `workers` (see `spe-subproc`).
-pub fn run_campaign_parallel_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-) -> CampaignReport {
-    complete_report(orchestrate::campaign_oracle(
-        files,
-        config,
-        workers,
-        Oracle::Backend(backend),
-        orchestrate::FaultPolicy::default(),
-    ))
-}
-
-/// Unwraps an in-memory (checkpoint-less) [`orchestrate::Outcome`]: with
-/// no journal sink and no kill budget, such a run always completes.
-fn complete_report(outcome: orchestrate::Outcome) -> CampaignReport {
-    for w in &outcome.warnings {
-        eprintln!("spe-harness: warning: {w}");
+        oracle: path,
+        ..Campaign::default()
     }
-    outcome
-        .status
-        .into_report()
-        .expect("in-memory campaigns always complete")
+    .run(files, config)
 }
 
 fn record(

@@ -1,13 +1,16 @@
-//! The supervised campaign orchestrator: **one** worker-pool/merge loop
-//! behind every parallel and checkpointed entry point.
+//! The supervised campaign orchestrator: [`Campaign`], the one campaign
+//! entry point, and **one** worker-pool/merge loop behind it.
 //!
-//! Historically the crate spelled the pool invariants twice — once in
-//! the in-memory parallel campaign, once in the checkpointed driver —
-//! pinned together only by byte-identity tests. This module is the
-//! single loop both were collapsed into (`DESIGN.md` §11): a
-//! work-stealing pool over the `files × shards` job space, with an
-//! **optional checkpoint sink** (an `spe-persist` journal) and three
-//! supervision layers the duplicated loops never had:
+//! A [`Campaign`] value is a worker count, an [`OraclePath`] and a
+//! [`FaultPolicy`]. [`Campaign::run`] runs in memory,
+//! [`Campaign::run_journaled`] runs into an `spe-persist` journal (as a
+//! single host, or as one host of a [`FleetPlan`]),
+//! [`Campaign::resume`] resumes any such journal, and
+//! [`Campaign::reduce`] runs the reduction stage, optionally journaled.
+//! The first three build or replay the per-job state and hand it to the
+//! one loop (`DESIGN.md` §11): a work-stealing pool over the
+//! `files × shards` job space, with an **optional checkpoint sink** and
+//! three supervision layers:
 //!
 //! * **Panic isolation** — each (file, shard) job runs under
 //!   [`std::panic::catch_unwind`]. A panicking job is rolled back to its
@@ -39,17 +42,18 @@
 //! injected-fault suite (`tests/orchestrator_faults.rs`) pin all of it.
 
 use crate::checkpoint::{
-    encode_campaign_done, encode_job_done, encode_progress, CampaignStatus, CheckpointError,
-    CheckpointOptions, JobState,
+    encode_campaign_done, encode_job_done, encode_progress, reduce_journaled, CampaignStatus,
+    CheckpointError, CheckpointOptions, JobState, Manifest, Replay,
 };
+use crate::fleet::{mark_foreign_jobs_done, FleetPlan};
+use crate::reduction::{reduce_in_memory, ReductionOptions};
 use crate::steal::WorkQueue;
 use crate::{
-    degraded_finding, merge_outputs, panicked_finding, prepare_file, CampaignConfig,
-    CampaignReport, Oracle, ShardOutput,
+    merge_outputs, prepare_file, quarantine_finding, CampaignConfig, CampaignReport, FindingKind,
+    OraclePath, ShardOutput,
 };
 use spe_corpus::TestFile;
-use spe_persist::{Journal, JournalError};
-use spe_simcc::backend::CompilerBackend;
+use spe_persist::{Journal, JournalError, JournalIter};
 use spe_telemetry::{names, Sink as TelemetrySink, Timer};
 use std::any::Any;
 use std::ops::ControlFlow;
@@ -96,7 +100,7 @@ impl Default for FaultPolicy {
 /// degradation the orchestrator absorbed instead of aborting on.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Completion or interruption, exactly as the thin wrappers return.
+    /// Completion, or interruption by [`CheckpointOptions::stop_after`].
     pub status: CampaignStatus,
     /// Human-readable records of absorbed faults (e.g. checkpointing
     /// disabled after exhausted journal retries). Empty on a clean run.
@@ -132,7 +136,7 @@ pub(crate) struct Spec<'a> {
     pub(crate) stop_after: Option<u64>,
     /// The checkpoint sink; `None` runs the pool purely in memory.
     pub(crate) journal: Option<Journal>,
-    pub(crate) oracle: Oracle<'a>,
+    pub(crate) oracle: OraclePath<'a>,
     pub(crate) policy: FaultPolicy,
 }
 
@@ -221,8 +225,8 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
 }
 
 /// The one supervised worker-pool/merge loop (`DESIGN.md` §11). Every
-/// public campaign entry point — parallel, checkpointed, resumed, with
-/// or without a backend — is a thin wrapper over this function.
+/// [`Campaign`] run — in memory, journaled, fleet host or resumed, on
+/// any oracle path — is this function over differently seeded jobs.
 pub(crate) fn run(spec: Spec<'_>) -> Outcome {
     let Spec {
         files,
@@ -353,8 +357,13 @@ pub(crate) fn run(spec: Spec<'_>) -> Outcome {
                                         // quarantine the job (degraded
                                         // finding + JobDone below) and
                                         // let the campaign continue.
-                                        delta.candidates.push(degraded_finding(
-                                            file, shard, &buf, config, &e,
+                                        delta.candidates.push(quarantine_finding(
+                                            FindingKind::BackendDegraded,
+                                            file,
+                                            shard,
+                                            &buf,
+                                            config,
+                                            &e.what,
                                         ));
                                         return ControlFlow::Break(());
                                     }
@@ -403,7 +412,8 @@ pub(crate) fn run(spec: Spec<'_>) -> Outcome {
                         delta.candidates.truncate(rollback.0);
                         delta.variants_tested = rollback.1;
                         delta.variants_ub_skipped = rollback.2;
-                        delta.candidates.push(panicked_finding(
+                        delta.candidates.push(quarantine_finding(
+                            FindingKind::JobPanicked,
                             file,
                             shard,
                             &buf,
@@ -475,149 +485,306 @@ pub(crate) fn run(spec: Spec<'_>) -> Outcome {
     }
 }
 
-/// A supervised in-memory campaign: [`crate::run_campaign_parallel`]
-/// with the [`Outcome`] (and its absorbed-fault warnings) exposed.
-/// Always completes — there is no checkpoint sink to fail and no
-/// simulated-kill budget.
-pub fn campaign(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    policy: &FaultPolicy,
-) -> Outcome {
-    campaign_oracle(files, config, workers, Oracle::Incremental, *policy)
+/// One campaign: how many workers run it, which oracle they reach, and
+/// how hard the orchestrator fights infrastructure faults. The one entry
+/// point of every campaign (`DESIGN.md` §9–§14): its four methods run
+/// in memory, run into a resumable journal (optionally as one host of a
+/// fleet), resume such a journal, and reduce the findings. All of them
+/// deliver each variant to the oracle through the same supervised loop,
+/// so reports are byte-identical across worker counts, oracle paths,
+/// kill/resume histories and host counts.
+///
+/// ```
+/// use spe_harness::{Campaign, CampaignConfig, OraclePath};
+/// use spe_simcc::backend::SimccBackend;
+///
+/// let files = spe_corpus::seeds::all();
+/// let config = CampaignConfig { budget: 8, ..CampaignConfig::default() };
+/// let fast = Campaign { workers: 2, ..Campaign::default() }.run(&files, &config);
+/// let backend = Campaign {
+///     workers: 2,
+///     oracle: OraclePath::Backend(&SimccBackend),
+///     ..Campaign::default()
+/// };
+/// assert_eq!(backend.run(&files, &config), fast);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Campaign<'a> {
+    /// Worker threads. A fresh run also cuts each file's variant space
+    /// into this many shards (a fleet host takes the plan's
+    /// [`FleetPlan::shards_per_file`] instead); a resume only sizes the
+    /// pool, because the journal fixes the decomposition.
+    pub workers: usize,
+    /// How each variant reaches the oracle.
+    pub oracle: OraclePath<'a>,
+    /// Checkpoint cadence and journal-fault handling.
+    pub policy: FaultPolicy,
 }
 
-/// [`campaign`] with the oracle dispatched through a
-/// [`CompilerBackend`].
-pub fn campaign_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    policy: &FaultPolicy,
-) -> Outcome {
-    campaign_oracle(files, config, workers, Oracle::Backend(backend), *policy)
+impl Default for Campaign<'_> {
+    fn default() -> Self {
+        Campaign {
+            workers: 1,
+            oracle: OraclePath::Incremental,
+            policy: FaultPolicy::default(),
+        }
+    }
 }
 
-pub(crate) fn campaign_oracle(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Outcome {
-    let workers = workers.max(1);
-    run(Spec {
-        files,
-        config,
-        shards_per_file: workers,
-        jobs: (0..files.len() * workers).map(|_| JobState::default()).collect(),
-        workers,
-        every: u64::MAX,
-        stop_after: None,
-        journal: None,
-        oracle,
-        policy,
-    })
+impl<'a> Campaign<'a> {
+    /// Runs the campaign in memory. Work items live in a shared
+    /// work-stealing queue ([`crate::steal::WorkQueue`]): each worker is
+    /// dealt a contiguous run of `files × workers` (file, shard) items,
+    /// so consecutive shards of one file stay on one thread, and a
+    /// worker that runs dry steals from its neighbours. Each job runs
+    /// under panic isolation, so a poisoned variant quarantines its job
+    /// as a [`crate::FindingKind::JobPanicked`] finding instead of
+    /// crashing the process.
+    ///
+    /// The report — finding order, dedup decisions, reproducers and
+    /// counters — is **byte-identical** to [`crate::run_campaign`] on the
+    /// same inputs, for any worker count: outputs are folded in
+    /// deterministic (file, shard) order regardless of completion order.
+    pub fn run(&self, files: &[TestFile], config: &CampaignConfig) -> CampaignReport {
+        let workers = self.workers.max(1);
+        let options = CheckpointOptions {
+            every: u64::MAX,
+            stop_after: None,
+        };
+        let jobs = fresh_jobs(files.len() * workers);
+        run(self.spec(files, config, workers, jobs, &options, None))
+            .into_report()
+            .expect("in-memory campaigns always complete")
+    }
+
+    /// Runs the campaign writing per-(file, shard) checkpoints into a
+    /// fresh journal at `path` (any existing file is replaced). The
+    /// journal's manifest pins the corpus, configuration, decomposition
+    /// and the oracle's backend identity, so [`Campaign::resume`] needs
+    /// only the path. A completed run's report is byte-identical to
+    /// [`Campaign::run`].
+    ///
+    /// With `host = Some((plan, host_id))` the run is one host of a
+    /// fleet (`DESIGN.md` §14): the manifest also pins the fleet stamp,
+    /// the decomposition is the plan's
+    /// [`FleetPlan::shards_per_file`], and only the jobs of
+    /// [`FleetPlan::host_jobs`] are dealt to the pool. The host's
+    /// **partial** report covers its slice only; the campaign result
+    /// comes from [`crate::merge_journals`] over all hosts.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Journal`] when the journal cannot be
+    /// **created**, [`CheckpointError::Foreign`] when `host_id` is out of
+    /// the plan's range. Later append failures do not abort the run:
+    /// they are retried and then degrade it to checkpoint-less
+    /// completion with an [`Outcome::warnings`] entry (see
+    /// [`FaultPolicy`]).
+    pub fn run_journaled(
+        &self,
+        files: &[TestFile],
+        config: &CampaignConfig,
+        path: impl AsRef<Path>,
+        options: &CheckpointOptions,
+        host: Option<(&FleetPlan, usize)>,
+    ) -> Result<Outcome, CheckpointError> {
+        let stamp = match host {
+            Some((plan, host_id)) if host_id >= plan.n_hosts.max(1) => {
+                return Err(CheckpointError::Foreign(format!(
+                    "host {host_id} is out of the plan's {} hosts",
+                    plan.n_hosts.max(1)
+                )))
+            }
+            Some((plan, host_id)) => Some(plan.stamp(host_id)),
+            None => None,
+        };
+        let shards_per_file = host
+            .map_or(self.workers, |(plan, _)| plan.shards_per_file)
+            .max(1);
+        let manifest = Manifest {
+            config: config.clone(),
+            shards_per_file,
+            files: files.to_vec(),
+            backend_id: self.oracle.backend_id(),
+            backend_hash: self.oracle.config_hash(),
+            fleet: stamp,
+        };
+        let journal = Journal::create(path, &manifest.encode())?;
+        let mut jobs = fresh_jobs(files.len() * shards_per_file);
+        let Some(stamp) = stamp else {
+            return Ok(run(self.spec(
+                files,
+                config,
+                shards_per_file,
+                jobs,
+                options,
+                Some(journal),
+            )));
+        };
+        // Jobs outside the slice are pre-marked done: the pool never
+        // deals them, no frames are written for them, and their empty
+        // partials contribute nothing to the host's partial report.
+        mark_foreign_jobs_done(&mut jobs, stamp)?;
+        let owned = jobs.iter().filter(|j| !j.done).count();
+        let telemetry = spe_telemetry::global();
+        let timer = Timer::start(&*telemetry);
+        if telemetry.enabled() {
+            telemetry.gauge(
+                names::FLEET_JOBS_OWNED,
+                i64::try_from(owned).unwrap_or(i64::MAX),
+            );
+        }
+        let outcome = run(self.spec(files, config, shards_per_file, jobs, options, Some(journal)));
+        if telemetry.enabled() {
+            telemetry.span(
+                names::FLEET_HOST_RUN,
+                &format!(
+                    "fleet={:#x} host={}/{} jobs={owned}",
+                    stamp.fleet_id, stamp.host_id, stamp.n_hosts
+                ),
+                timer.stop_nanos(),
+            );
+        }
+        Ok(outcome)
+    }
+
+    /// Resumes the campaign whose journal lives at `path` — a
+    /// single-host journal or one fleet host's.
+    ///
+    /// The journal's valid prefix is replayed **streamingly** (a torn
+    /// tail frame from the crash is truncated, and memory stays bounded
+    /// by the live per-job state), finished jobs keep their recorded
+    /// outputs, and unfinished jobs are re-dealt into the work-stealing
+    /// queue with their shards re-seeded at the committed emission-index
+    /// high-water marks via exact unranking. `workers` only sizes the
+    /// pool; the journal fixes the decomposition (and a host's slice),
+    /// and the completed report is byte-identical to an uninterrupted
+    /// run regardless of either. A resumed run may itself be interrupted
+    /// and resumed again, any number of times, on either in-process
+    /// oracle path.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Journal`] when the file is not a resumable
+    /// journal (or another writer holds it); [`CheckpointError::Decode`]
+    /// / [`CheckpointError::Foreign`] when its records do not decode
+    /// against this build's schema and registries, when it was recorded
+    /// under a different backend id or configuration hash than
+    /// [`Campaign::oracle`], or when a fleet journal records state
+    /// outside its host's slice.
+    pub fn resume(
+        &self,
+        path: impl AsRef<Path>,
+        options: &CheckpointOptions,
+    ) -> Result<Outcome, CheckpointError> {
+        let telemetry = spe_telemetry::global();
+        let replay_timer = Timer::start(&*telemetry);
+        let mut iter = JournalIter::open_locked(path.as_ref())?;
+        let mut replay = Replay::new(iter.header())?;
+        replay.drain(&mut iter)?;
+        if telemetry.enabled() {
+            telemetry.span(
+                names::ORCH_REPLAY,
+                &format!("jobs={}", replay.jobs.len()),
+                replay_timer.stop_nanos(),
+            );
+        }
+        replay.manifest.check_backend(&self.oracle)?;
+        let Replay {
+            manifest,
+            mut jobs,
+            campaign_done,
+            ..
+        } = replay;
+        if let Some(stamp) = manifest.fleet {
+            // A host journal records frames only for its own slice; jobs
+            // outside it are re-marked done exactly as on the first run.
+            mark_foreign_jobs_done(&mut jobs, stamp)?;
+        }
+        if campaign_done {
+            // Nothing to recompute: fold the recorded outputs directly.
+            drop(iter);
+            let outputs = jobs.into_iter().map(|j| j.partial).collect();
+            return Ok(Outcome {
+                status: CampaignStatus::Complete(merge_outputs(outputs)),
+                warnings: Vec::new(),
+            });
+        }
+        // The scan's writer lock carries straight into the appender: no
+        // other resume can slip a frame in between replay and append.
+        let journal = iter.into_appender()?;
+        let spec = self.spec(
+            &manifest.files,
+            &manifest.config,
+            manifest.shards_per_file,
+            jobs,
+            options,
+            Some(journal),
+        );
+        Ok(run(spec))
+    }
+
+    /// Runs the reduction stage over every finding of `report` on
+    /// `workers` threads, then the fingerprint and trigger dedup folds
+    /// (`DESIGN.md` §7). Every candidate shrink is re-checked by
+    /// [`Campaign::oracle`]: pass the oracle the campaign ran under. The
+    /// report is byte-identical for every worker count.
+    ///
+    /// With `journal = Some(path)` the stage extends the campaign's
+    /// journal with one witness frame per finding: witnesses recorded by
+    /// an earlier (killed) pass are replayed instead of recomputed, and
+    /// the attached report stays byte-identical to an in-memory
+    /// reduction under any kill/resume history.
+    ///
+    /// # Errors
+    ///
+    /// Journaled reductions only: the error classes of
+    /// [`Campaign::resume`], including a journal recorded under a
+    /// different backend, options that differ from the recorded pass,
+    /// and witnesses recorded for another report's findings. The report
+    /// is left unmodified on error.
+    pub fn reduce(
+        &self,
+        report: &mut CampaignReport,
+        options: &ReductionOptions,
+        journal: Option<&Path>,
+    ) -> Result<(), CheckpointError> {
+        match journal {
+            None => {
+                reduce_in_memory(report, options, self.workers, self.oracle);
+                Ok(())
+            }
+            Some(path) => reduce_journaled(report, options, self.workers, path, self.oracle),
+        }
+    }
+
+    fn spec<'s>(
+        &self,
+        files: &'s [TestFile],
+        config: &'s CampaignConfig,
+        shards_per_file: usize,
+        jobs: Vec<JobState>,
+        options: &CheckpointOptions,
+        journal: Option<Journal>,
+    ) -> Spec<'s>
+    where
+        'a: 's,
+    {
+        Spec {
+            files,
+            config,
+            shards_per_file,
+            jobs,
+            workers: self.workers.max(1),
+            every: options.every,
+            stop_after: options.stop_after,
+            journal,
+            oracle: self.oracle,
+            policy: self.policy,
+        }
+    }
 }
 
-/// A supervised checkpointed campaign:
-/// [`crate::checkpoint::run_campaign_checkpointed`] with an explicit
-/// [`FaultPolicy`] and the [`Outcome`] exposed.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Journal`] when the journal cannot be
-/// *created*. Append failures after that no longer abort the run — they
-/// degrade it (see [`FaultPolicy`]).
-pub fn campaign_checkpointed(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Incremental,
-        *policy,
-    )
-}
-
-/// [`campaign_checkpointed`] with the oracle dispatched through a
-/// [`CompilerBackend`].
-///
-/// # Errors
-///
-/// As [`campaign_checkpointed`].
-pub fn campaign_checkpointed_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    backend: &dyn CompilerBackend,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Backend(backend),
-        *policy,
-    )
-}
-
-/// A supervised resume: [`crate::checkpoint::resume_campaign`] with an
-/// explicit [`FaultPolicy`] and the [`Outcome`] exposed. The journal is
-/// replayed **streamingly** ([`spe_persist::JournalIter`]) — resume
-/// memory is bounded by the live per-job state, not the journal size.
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign`].
-pub fn resume(
-    path: impl AsRef<Path>,
-    workers: usize,
-    options: &CheckpointOptions,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::resume_supervised(
-        path.as_ref(),
-        workers,
-        options,
-        Oracle::Incremental,
-        *policy,
-    )
-}
-
-/// [`resume`] for journals recorded under a [`CompilerBackend`]; the
-/// backend must match the manifest's recorded identity or the resume is
-/// refused.
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign_with_backend`].
-pub fn resume_with_backend(
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    options: &CheckpointOptions,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::resume_supervised(
-        path.as_ref(),
-        workers,
-        options,
-        Oracle::Backend(backend),
-        *policy,
-    )
+fn fresh_jobs(count: usize) -> Vec<JobState> {
+    (0..count).map(|_| JobState::default()).collect()
 }

@@ -34,15 +34,13 @@
 //! **byte-identical for every worker count** — witnesses are written into
 //! per-finding slots and both dedup folds walk them in finding order.
 //! For long campaigns the stage is also checkpointable: see
-//! [`crate::checkpoint::reduce_findings_checkpointed`] and `DESIGN.md`
-//! §9.
+//! [`crate::Campaign::reduce`] and `DESIGN.md` §9.
 
 use crate::steal::WorkQueue;
-use crate::{CampaignReport, Finding, FindingKind, Oracle};
+use crate::{Campaign, CampaignReport, Finding, FindingKind, OraclePath};
 use spe_minic::ast::Program;
 use spe_reduce::stmts::stmt_kind_signature;
 use spe_reduce::{reduce, ReduceConfig};
-use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{Compiler, Divergence, Observation};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -119,22 +117,24 @@ fn verdict_matches(finding: &Finding, obs: &Observation) -> bool {
     }
 }
 
-/// Observes `p` under `finding`'s compiler configuration through the
-/// given oracle. `None` when a backend reports machinery failure
-/// mid-reduction — the candidate shrink is conservatively treated as
-/// non-reproducing, so reduction never commits a witness it could not
-/// re-check.
-fn observe_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>) -> Option<Observation> {
-    let cc = Compiler::new(finding.compiler, finding.opt);
-    let wrong_code_fuel = (finding.kind == FindingKind::WrongCode).then_some(fuel);
-    match oracle {
-        // Reduction probes arbitrary shrunken programs, not variants of
-        // one skeleton — there is nothing for the incremental cache to
-        // splice, so both in-process paths observe directly.
-        Oracle::Direct | Oracle::Incremental => Some(cc.observe(p, wrong_code_fuel)),
-        Oracle::Backend(b) => b
-            .observe_config(&spe_minic::print_program(p), cc, wrong_code_fuel)
-            .ok(),
+impl OraclePath<'_> {
+    /// Observes `p` under `finding`'s compiler configuration through
+    /// this oracle. `None` when a backend reports machinery failure
+    /// mid-reduction — the candidate shrink is conservatively treated as
+    /// non-reproducing, so reduction never commits a witness it could
+    /// not re-check.
+    fn observe_oracle(&self, finding: &Finding, p: &Program, fuel: u64) -> Option<Observation> {
+        let cc = Compiler::new(finding.compiler, finding.opt);
+        let wrong_code_fuel = (finding.kind == FindingKind::WrongCode).then_some(fuel);
+        match self {
+            // Reduction probes arbitrary shrunken programs, not variants
+            // of one skeleton — there is nothing for the incremental
+            // cache to splice, so both in-process paths observe directly.
+            OraclePath::Incremental | OraclePath::RoundTrip => Some(cc.observe(p, wrong_code_fuel)),
+            OraclePath::Backend(b) => b
+                .observe_config(&spe_minic::print_program(p), cc, wrong_code_fuel)
+                .ok(),
+        }
     }
 }
 
@@ -142,11 +142,13 @@ fn observe_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>)
 /// configuration: same [`FindingKind`], same bug id (for wrong code, an
 /// unattributed finding — `bug_id == None` — must stay unattributed).
 pub fn reproduces(finding: &Finding, p: &Program, fuel: u64) -> bool {
-    reproduces_oracle(finding, p, fuel, Oracle::Direct)
+    reproduces_oracle(finding, p, fuel, OraclePath::RoundTrip)
 }
 
-fn reproduces_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>) -> bool {
-    observe_oracle(finding, p, fuel, oracle).is_some_and(|obs| verdict_matches(finding, &obs))
+fn reproduces_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: OraclePath<'_>) -> bool {
+    oracle
+        .observe_oracle(finding, p, fuel)
+        .is_some_and(|obs| verdict_matches(finding, &obs))
 }
 
 /// The trigger signature of a reduced witness: the divergence class the
@@ -158,8 +160,8 @@ fn reproduces_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'
 /// fingerprint cannot), so like the paper's manual root-cause folding
 /// it trades a residual over-merge risk for recall; the tests pin its
 /// agreement with the ground-truth registry on the covered corpora.
-fn trigger_signature(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>) -> String {
-    let class = match observe_oracle(finding, p, fuel, oracle) {
+fn trigger_signature(finding: &Finding, p: &Program, fuel: u64, oracle: OraclePath<'_>) -> String {
+    let class = match oracle.observe_oracle(finding, p, fuel) {
         Some(obs) => match finding.kind {
             FindingKind::Crash => obs.ice.as_ref().map_or("ice", |ice| ice.signature),
             FindingKind::WrongCode => obs.divergence.map_or("wrong-code", Divergence::label),
@@ -184,7 +186,7 @@ fn trigger_signature(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'
 pub(crate) fn reduce_one_oracle(
     finding: &Finding,
     options: &ReductionOptions,
-    oracle: Oracle<'_>,
+    oracle: OraclePath<'_>,
 ) -> Option<ReducedWitness> {
     if matches!(
         finding.kind,
@@ -214,7 +216,7 @@ pub(crate) fn reduce_one_oracle(
 pub(crate) fn reduce_one_isolated(
     finding: &Finding,
     options: &ReductionOptions,
-    oracle: Oracle<'_>,
+    oracle: OraclePath<'_>,
 ) -> Option<ReducedWitness> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         reduce_one_oracle(finding, options, oracle)
@@ -232,34 +234,25 @@ pub(crate) fn reduce_one_isolated(
     }
 }
 
-/// Runs the reduction stage over every finding of `report`, fanning jobs
-/// across `workers` threads of a work-stealing pool, then applies the
-/// fingerprint dedup pass. The resulting report is byte-identical for
-/// every worker count.
+/// [`Campaign::reduce`] in memory on `workers` workers, on the
+/// in-process oracle.
 pub fn reduce_findings(report: &mut CampaignReport, options: &ReductionOptions, workers: usize) {
-    reduce_findings_oracle(report, options, workers, Oracle::Direct);
+    Campaign {
+        workers,
+        ..Campaign::default()
+    }
+    .reduce(report, options, None)
+    .expect("in-memory reductions cannot fail");
 }
 
-/// [`reduce_findings`] with the re-check oracle dispatched through
-/// `backend`: every candidate shrink is re-observed by
-/// [`CompilerBackend::observe_config`] on the printed program, so
-/// witnesses are certified by the same oracle that found them. Use the
-/// backend the campaign ran under — a different one would re-check a
-/// different compiler.
-pub fn reduce_findings_with_backend(
+/// The in-memory body of [`Campaign::reduce`]: fans the findings across
+/// `workers` threads of a work-stealing pool, then attaches the
+/// witnesses and runs both dedup folds.
+pub(crate) fn reduce_in_memory(
     report: &mut CampaignReport,
     options: &ReductionOptions,
     workers: usize,
-    backend: &dyn CompilerBackend,
-) {
-    reduce_findings_oracle(report, options, workers, Oracle::Backend(backend));
-}
-
-fn reduce_findings_oracle(
-    report: &mut CampaignReport,
-    options: &ReductionOptions,
-    workers: usize,
-    oracle: Oracle<'_>,
+    oracle: OraclePath<'_>,
 ) {
     let jobs = report.findings.len();
     if jobs == 0 {

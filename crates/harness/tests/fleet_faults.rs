@@ -4,9 +4,9 @@
 //! refused with an error naming the offending journal, host, or gap.
 
 use spe_corpus::{generate, CorpusConfig, TestFile};
-use spe_harness::checkpoint::{compact_journal, run_campaign_checkpointed, CheckpointOptions};
-use spe_harness::fleet::{merge_journals, resume_host, run_host, FleetError};
-use spe_harness::{CampaignConfig, CampaignStatus, CheckpointError, FleetPlan};
+use spe_harness::checkpoint::{compact_journal, CheckpointOptions};
+use spe_harness::fleet::{merge_journals, run_host, FleetError};
+use spe_harness::{Campaign, CampaignConfig, CampaignStatus, CheckpointError, FleetPlan};
 use spe_simcc::{Compiler, CompilerId};
 use std::path::{Path, PathBuf};
 
@@ -97,15 +97,19 @@ fn killed_hosts_resume_on_different_worker_counts_byte_identically() {
                 if !status.is_interrupted() {
                     break;
                 }
-                status = resume_host(
+                status = Campaign {
+                    workers: workers[attempt % workers.len()],
+                    ..Campaign::default()
+                }
+                .resume(
                     &path,
-                    workers[attempt % workers.len()],
                     &CheckpointOptions {
                         every: 8,
                         stop_after: (attempt < 2).then_some(5),
                     },
                 )
-                .expect("host resumes");
+                .expect("host resumes")
+                .status;
             }
             path
         })
@@ -208,8 +212,18 @@ fn non_fleet_and_incomplete_journals_are_refused() {
     // A single-host checkpointed campaign journal: valid, but not a
     // fleet host journal.
     let single = dir.join("single.journal");
-    run_campaign_checkpointed(&files, &config, 2, &single, &CheckpointOptions::default())
-        .expect("campaign runs");
+    Campaign {
+        workers: 2,
+        ..Campaign::default()
+    }
+    .run_journaled(
+        &files,
+        &config,
+        &single,
+        &CheckpointOptions::default(),
+        None,
+    )
+    .expect("campaign runs");
     match merge_journals(&[&single]) {
         Err(FleetError::NotAFleetJournal { path }) => assert_eq!(path, single),
         other => panic!("expected NotAFleetJournal, got {other:?}"),
@@ -247,7 +261,12 @@ fn non_fleet_and_incomplete_journals_are_refused() {
     assert!(message.contains("resume"), "no repair hint: {message}");
     // Resuming the dead host repairs the set.
     assert!(matches!(
-        resume_host(&dead, 4, &CheckpointOptions::default()),
+        Campaign {
+            workers: 4,
+            ..Campaign::default()
+        }
+        .resume(&dead, &CheckpointOptions::default())
+        .map(|outcome| outcome.status),
         Ok(CampaignStatus::Complete(_))
     ));
     assert_eq!(

@@ -9,13 +9,11 @@
 use proptest::prelude::*;
 use spe_corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe_harness::checkpoint::CheckpointOptions;
-use spe_harness::fleet::{
-    merge_journals, merge_journals_detailed, run_host, run_host_with_backend, run_host_with_path,
-};
+use spe_harness::fleet::{merge_journals, merge_journals_detailed, run_host};
 use spe_harness::reduction::{reduce_findings, ReductionOptions};
 use spe_harness::{
-    run_campaign_parallel, run_campaign_parallel_with_backend, CampaignConfig, CampaignStatus,
-    FleetPlan, OraclePath,
+    run_campaign_parallel, run_campaign_parallel_with_path, Campaign, CampaignConfig,
+    CampaignStatus, FleetPlan, OraclePath,
 };
 use spe_simcc::backend::{BackendError, CompilerBackend, SimccBackend};
 use spe_simcc::{Compiler, CompilerId, Observation};
@@ -128,17 +126,20 @@ fn hosts_may_mix_oracle_paths_without_changing_the_merge() {
         .enumerate()
         .map(|(host, oracle_path)| {
             let path = dir.join(format!("host-{host}.journal"));
-            let status = run_host_with_path(
-                &plan,
-                host,
+            let status = Campaign {
+                workers: 3,
+                oracle: oracle_path,
+                ..Campaign::default()
+            }
+            .run_journaled(
                 &files,
                 &config,
-                3,
                 &path,
                 &CheckpointOptions::default(),
-                oracle_path,
+                Some((&plan, host)),
             )
-            .expect("host runs");
+            .expect("host runs")
+            .status;
             assert!(matches!(status, CampaignStatus::Complete(_)));
             path
         })
@@ -223,7 +224,8 @@ fn panic_quarantines_survive_the_fleet_merge_byte_identically() {
     let files = generate(&CorpusConfig { files: 8, seed: 13 });
     let config = config();
     let backend = PanickyBackend(SimccBackend);
-    let reference = run_campaign_parallel_with_backend(&files, &config, &backend, 2);
+    let reference =
+        run_campaign_parallel_with_path(&files, &config, 2, OraclePath::Backend(&backend));
     assert!(
         reference
             .findings
@@ -236,17 +238,20 @@ fn panic_quarantines_survive_the_fleet_merge_byte_identically() {
     let paths: Vec<PathBuf> = (0..plan.n_hosts)
         .map(|host| {
             let path = dir.join(format!("host-{host}.journal"));
-            let status = run_host_with_backend(
-                &plan,
-                host,
+            let status = Campaign {
+                workers: 1 + host,
+                oracle: OraclePath::Backend(&backend),
+                ..Campaign::default()
+            }
+            .run_journaled(
                 &files,
                 &config,
-                1 + host,
                 &path,
                 &CheckpointOptions::default(),
-                &backend,
+                Some((&plan, host)),
             )
-            .expect("host runs");
+            .expect("host runs")
+            .status;
             assert!(matches!(status, CampaignStatus::Complete(_)));
             path
         })

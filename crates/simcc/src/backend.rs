@@ -137,8 +137,8 @@ pub trait CompilerBackend: Send + Sync {
 }
 
 /// The in-process `simcc` backend: [`crate::Compiler::observe`] behind
-/// the trait. The default oracle of every campaign entry point, with
-/// **zero behavior change** relative to the direct path — the
+/// the trait, with **zero behavior change** relative to the harness's
+/// in-process round trip (`OraclePath::RoundTrip` in `spe-harness`) — the
 /// per-variant fast path below is the same parse-once /
 /// reference-once sequence, pinned byte-identical by
 /// `tests/backend_identity.rs`.

@@ -21,7 +21,7 @@
 
 use spe_core::Algorithm;
 use spe_harness::{
-    run_campaign_parallel, run_campaign_parallel_with_backend, CampaignConfig, FindingKind,
+    run_campaign_parallel, run_campaign_parallel_with_path, CampaignConfig, FindingKind, OraclePath,
 };
 use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{Compiler, CompilerId};
@@ -85,7 +85,7 @@ fn main() {
     subproc_config.env = vec![("FAKECC_FUEL".into(), config.fuel.to_string())];
     let backend = SubprocBackend::new(subproc_config).expect("backend");
     let external = phase("parity_subproc", || {
-        run_campaign_parallel_with_backend(&files, &config, &backend, workers)
+        run_campaign_parallel_with_path(&files, &config, workers, OraclePath::Backend(&backend))
     });
 
     let wrong_code = |report: &spe_harness::CampaignReport| -> BTreeSet<String> {
@@ -163,7 +163,7 @@ fn main() {
     broken_config.retries = 1;
     let broken = SubprocBackend::new(broken_config).expect("backend");
     let degraded = phase("quarantine", || {
-        run_campaign_parallel_with_backend(&files, &config, &broken, workers)
+        run_campaign_parallel_with_path(&files, &config, workers, OraclePath::Backend(&broken))
     });
     assert!(
         degraded

@@ -9,10 +9,10 @@
 //! backend machinery, and never a hang or panic of the campaign.
 
 use spe_core::Algorithm;
-use spe_harness::checkpoint::{
-    resume_campaign, run_campaign_checkpointed_with_backend, CheckpointOptions,
+use spe_harness::checkpoint::CheckpointOptions;
+use spe_harness::{
+    run_campaign_parallel_with_path, Campaign, CampaignConfig, FindingKind, OraclePath,
 };
-use spe_harness::{run_campaign_parallel_with_backend, CampaignConfig, FindingKind};
 use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{Compiler, CompilerId, Divergence};
 use std::path::{Path, PathBuf};
@@ -260,7 +260,7 @@ fn flaky_backend_campaign_terminates_with_quarantined_jobs() {
         fuel: 10_000,
     };
     let backend = backend_in(&dir, "/nonexistent/spe-test-cc", |_| {});
-    let report = run_campaign_parallel_with_backend(&files, &config, &backend, 4);
+    let report = run_campaign_parallel_with_path(&files, &config, 4, OraclePath::Backend(&backend));
     assert!(!report.findings.is_empty(), "quarantine must be visible");
     for f in &report.findings {
         assert_eq!(f.kind, FindingKind::BackendDegraded);
@@ -273,22 +273,31 @@ fn flaky_backend_campaign_terminates_with_quarantined_jobs() {
     // recorded done), and the journal is pinned to this backend — a
     // plain in-process resume must be refused, not silently mixed.
     let journal = dir.join("campaign.journal");
-    let status = run_campaign_checkpointed_with_backend(
+    let status = Campaign {
+        workers: 2,
+        oracle: OraclePath::Backend(&backend),
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        2,
         &journal,
         &CheckpointOptions::default(),
-        &backend,
+        None,
     )
-    .expect("campaign completes despite the degraded backend");
+    .expect("campaign completes despite the degraded backend")
+    .status;
     let report = status.into_report().expect("complete, not interrupted");
     assert!(report
         .findings
         .iter()
         .all(|f| f.kind == FindingKind::BackendDegraded));
-    let refusal = resume_campaign(&journal, 2, &CheckpointOptions::default())
-        .expect_err("in-process resume of a subproc journal must be refused");
+    let refusal = Campaign {
+        workers: 2,
+        ..Campaign::default()
+    }
+    .resume(&journal, &CheckpointOptions::default())
+    .expect_err("in-process resume of a subproc journal must be refused");
     let message = refusal.to_string();
     assert!(
         message.contains("subproc") && message.contains("simcc"),

@@ -13,13 +13,10 @@
 use proptest::prelude::*;
 use spe::core::Algorithm;
 use spe::corpus::{generate, seeds, CorpusConfig};
-use spe::harness::checkpoint::{
-    resume_campaign, resume_campaign_with_backend, run_campaign_checkpointed_with_backend,
-    CheckpointError, CheckpointOptions,
-};
+use spe::harness::checkpoint::{CheckpointError, CheckpointOptions};
 use spe::harness::{
-    run_campaign, run_campaign_parallel, run_campaign_parallel_with_backend,
-    run_campaign_with_backend, CampaignConfig,
+    run_campaign, run_campaign_parallel, run_campaign_parallel_with_path, Campaign, CampaignConfig,
+    OraclePath,
 };
 use spe::simcc::backend::{BackendError, CompilerBackend, SimccBackend};
 use spe::simcc::{Compiler, CompilerId, Observation};
@@ -46,11 +43,20 @@ proptest! {
         let files = generate(&CorpusConfig { files: 3, seed });
         let config = campaign_config();
         let direct = run_campaign(&files, &config);
-        prop_assert_eq!(&run_campaign_with_backend(&files, &config, &SimccBackend), &direct);
+        let backend = Campaign {
+            oracle: OraclePath::Backend(&SimccBackend),
+            ..Campaign::default()
+        };
+        prop_assert_eq!(&backend.run(&files, &config), &direct);
         for workers in [1usize, 2, 4, 16] {
             prop_assert_eq!(&run_campaign_parallel(&files, &config, workers), &direct);
             prop_assert_eq!(
-                &run_campaign_parallel_with_backend(&files, &config, &SimccBackend, workers),
+                &run_campaign_parallel_with_path(
+                    &files,
+                    &config,
+                    workers,
+                    OraclePath::Backend(&SimccBackend)
+                ),
                 &direct
             );
         }
@@ -68,18 +74,23 @@ fn killed_and_resumed_backend_campaign_matches_uninterrupted_direct() {
     let journal = dir.join("campaign.journal");
 
     // Kill between checkpoints, then resume repeatedly until complete.
-    let mut status = run_campaign_checkpointed_with_backend(
+    let mut status = Campaign {
+        workers: 4,
+        oracle: OraclePath::Backend(&SimccBackend),
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        4,
         &journal,
         &CheckpointOptions {
             every: 16,
             stop_after: Some(40),
         },
-        &SimccBackend,
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted(), "stop_after should have fired");
     let mut cycles = 0;
     while status.is_interrupted() {
@@ -90,26 +101,34 @@ fn killed_and_resumed_backend_campaign_matches_uninterrupted_direct() {
         // identity as the direct path, so the plain resume is equally
         // valid — prove it by alternating entry points too.
         status = if cycles % 2 == 0 {
-            resume_campaign(
+            Campaign {
+                workers: 1 + cycles % 3,
+                ..Campaign::default()
+            }
+            .resume(
                 &journal,
-                1 + cycles % 3,
                 &CheckpointOptions {
                     every: 16,
                     stop_after: Some(60),
                 },
             )
             .expect("resume")
+            .status
         } else {
-            resume_campaign_with_backend(
+            Campaign {
+                workers: 1 + cycles % 3,
+                oracle: OraclePath::Backend(&SimccBackend),
+                ..Campaign::default()
+            }
+            .resume(
                 &journal,
-                &SimccBackend,
-                1 + cycles % 3,
                 &CheckpointOptions {
                     every: 16,
                     stop_after: Some(60),
                 },
             )
             .expect("resume")
+            .status
         };
     }
     let report = status.into_report().expect("complete");
@@ -151,19 +170,23 @@ fn resume_refuses_a_mismatched_backend() {
         every: 16,
         stop_after: Some(40),
     };
-    let status = run_campaign_checkpointed_with_backend(
-        &files,
-        &config,
-        2,
-        &journal,
-        &options,
-        &Dummy(42),
-    )
-    .expect("checkpointed run");
+    let status = Campaign {
+        workers: 2,
+        oracle: OraclePath::Backend(&Dummy(42)),
+        ..Campaign::default()
+    }
+    .run_journaled(&files, &config, &journal, &options, None)
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted());
 
     // Wrong backend id: the in-process default must refuse.
-    let err = resume_campaign(&journal, 2, &options).expect_err("id mismatch");
+    let err = Campaign {
+        workers: 2,
+        ..Campaign::default()
+    }
+    .resume(&journal, &options)
+    .expect_err("id mismatch");
     assert!(matches!(err, CheckpointError::Foreign(_)));
     let message = err.to_string();
     assert!(
@@ -172,32 +195,42 @@ fn resume_refuses_a_mismatched_backend() {
     );
 
     // Right id, wrong configuration hash: also refused.
-    let err = resume_campaign_with_backend(&journal, &Dummy(7), 2, &options)
-        .expect_err("hash mismatch");
+    let err = Campaign {
+        workers: 2,
+        oracle: OraclePath::Backend(&Dummy(7)),
+        ..Campaign::default()
+    }
+    .resume(&journal, &options)
+    .expect_err("hash mismatch");
     assert!(err.to_string().contains("config hash"), "{err}");
 
     // The matching backend resumes and completes.
-    let mut status = resume_campaign_with_backend(
-        &journal,
-        &Dummy(42),
-        2,
-        &CheckpointOptions {
-            every: 16,
-            stop_after: None,
-        },
-    )
-    .expect("matching backend resumes");
-    while status.is_interrupted() {
-        status = resume_campaign_with_backend(
+    let dummy = Campaign {
+        workers: 2,
+        oracle: OraclePath::Backend(&Dummy(42)),
+        ..Campaign::default()
+    };
+    let mut status = dummy
+        .resume(
             &journal,
-            &Dummy(42),
-            2,
             &CheckpointOptions {
                 every: 16,
                 stop_after: None,
             },
         )
-        .expect("resume");
+        .expect("matching backend resumes")
+        .status;
+    while status.is_interrupted() {
+        status = dummy
+            .resume(
+                &journal,
+                &CheckpointOptions {
+                    every: 16,
+                    stop_after: None,
+                },
+            )
+            .expect("resume")
+            .status;
     }
     assert_eq!(
         status.into_report().expect("complete"),

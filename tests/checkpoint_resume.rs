@@ -6,14 +6,13 @@
 
 use proptest::prelude::*;
 use spe::corpus::{generate, seeds, CorpusConfig};
-use spe::harness::checkpoint::{
-    reduce_findings_checkpointed, resume_campaign, run_campaign_checkpointed, CampaignStatus,
-    CheckpointOptions,
-};
+use spe::harness::checkpoint::{CampaignStatus, CheckpointError, CheckpointOptions};
 use spe::harness::reduction::{reduce_findings, ReductionOptions};
-use spe::harness::{run_campaign, CampaignConfig, CampaignReport};
-use spe::simcc::{Compiler, CompilerId};
+use spe::harness::{run_campaign, Campaign, CampaignConfig, CampaignReport, OraclePath};
+use spe::simcc::backend::{BackendError, CompilerBackend, SimccBackend};
+use spe::simcc::{Compiler, CompilerId, Observation};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn config() -> CampaignConfig {
     CampaignConfig {
@@ -39,15 +38,19 @@ fn journal_path(tag: &str) -> PathBuf {
 /// repeated kills cannot starve progress forever.
 fn resume_to_completion(path: &PathBuf, workers: usize, mut stop: Option<u64>) -> CampaignReport {
     for _ in 0..32 {
-        let status = resume_campaign(
-            path,
+        let status = Campaign {
             workers,
+            ..Campaign::default()
+        }
+        .resume(
+            path,
             &CheckpointOptions {
                 every: 8,
                 stop_after: stop,
             },
         )
-        .expect("resume");
+        .expect("resume")
+        .status;
         match status {
             CampaignStatus::Complete(report) => return report,
             CampaignStatus::Interrupted => stop = stop.map(|s| s.saturating_mul(2)),
@@ -63,17 +66,22 @@ fn uninterrupted_checkpointed_run_matches_the_plain_campaign() {
     let reference = run_campaign(&files, &config);
     for workers in [1usize, 2, 4, 16] {
         let path = journal_path(&format!("uninterrupted-{workers}"));
-        let status = run_campaign_checkpointed(
+        let status = Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .run_journaled(
             &files,
             &config,
-            workers,
             &path,
             &CheckpointOptions {
                 every: 16,
                 stop_after: None,
             },
+            None,
         )
-        .expect("checkpointed run");
+        .expect("checkpointed run")
+        .status;
         let report = status.into_report().expect("completed");
         assert_eq!(report, reference, "{workers} workers diverged");
         // Resuming a finished journal replays it without recomputing.
@@ -93,17 +101,22 @@ fn kill_and_resume_is_byte_identical_at_every_worker_count() {
         // checkpoint boundary (multiples of `every = 8`), mid-interval.
         for stop in [3u64, 24, 61] {
             let path = journal_path(&format!("kill-{workers}-{stop}"));
-            let status = run_campaign_checkpointed(
+            let status = Campaign {
+                workers,
+                ..Campaign::default()
+            }
+            .run_journaled(
                 &files,
                 &config,
-                workers,
                 &path,
                 &CheckpointOptions {
                     every: 8,
                     stop_after: Some(stop),
                 },
+                None,
             )
-            .expect("checkpointed run");
+            .expect("checkpointed run")
+            .status;
             let report = match status {
                 CampaignStatus::Complete(r) => r, // tiny spaces may finish early
                 CampaignStatus::Interrupted => resume_to_completion(&path, workers, None),
@@ -120,17 +133,22 @@ fn repeated_kills_and_worker_count_changes_still_converge_identically() {
     let config = config();
     let reference = run_campaign(&files, &config);
     let path = journal_path("repeated-kills");
-    let status = run_campaign_checkpointed(
+    let status = Campaign {
+        workers: 4,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        4,
         &path,
         &CheckpointOptions {
             every: 4,
             stop_after: Some(30),
         },
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted(), "workload outlives the first kill");
     // Kill it twice more while resuming under different worker counts;
     // the job decomposition is pinned by the manifest, so the final
@@ -139,16 +157,19 @@ fn repeated_kills_and_worker_count_changes_still_converge_identically() {
         let mut stop = Some(20u64);
         let mut report = None;
         for (attempt, workers) in [16usize, 1, 2, 4, 16, 2, 1, 4].iter().enumerate() {
-            match resume_campaign(
+            let resumed = Campaign {
+                workers: *workers,
+                ..Campaign::default()
+            }
+            .resume(
                 &path,
-                *workers,
                 &CheckpointOptions {
                     every: 4,
                     stop_after: stop,
                 },
             )
-            .expect("resume")
-            {
+            .expect("resume");
+            match resumed.status {
                 CampaignStatus::Complete(r) => {
                     report = Some(r);
                     break;
@@ -173,17 +194,22 @@ fn truncated_tail_frames_are_recovered_on_resume() {
     let reference = run_campaign(&files, &config);
     for cut in [1usize, 7, 40, 200] {
         let path = journal_path(&format!("torn-{cut}"));
-        let status = run_campaign_checkpointed(
+        let status = Campaign {
+            workers: 4,
+            ..Campaign::default()
+        }
+        .run_journaled(
             &files,
             &config,
-            4,
             &path,
             &CheckpointOptions {
                 every: 8,
                 stop_after: Some(50),
             },
+            None,
         )
-        .expect("checkpointed run");
+        .expect("checkpointed run")
+        .status;
         assert!(status.is_interrupted());
         // Chop bytes off the tail: a torn final frame (small cuts) or
         // whole lost records (large cuts). Both only lose committed
@@ -202,24 +228,34 @@ fn concurrent_resumes_of_one_journal_are_rejected() {
     let files = seeds::all();
     let config = config();
     let path = journal_path("concurrent");
-    let status = run_campaign_checkpointed(
+    let status = Campaign {
+        workers: 2,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        2,
         &path,
         &CheckpointOptions {
             every: 8,
             stop_after: Some(40),
         },
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted());
     // A stale writer still holds the journal (a racing resume, a hung
     // process): the second resume must fail fast, not interleave frames.
     let contents = spe::persist::JournalReader::read(&path).expect("readable");
     let held = spe::persist::Journal::open_append_with(&path, &contents).expect("lock");
     assert!(
-        resume_campaign(&path, 2, &CheckpointOptions::default()).is_err(),
+        Campaign {
+            workers: 2,
+            ..Campaign::default()
+        }
+        .resume(&path, &CheckpointOptions::default())
+        .is_err(),
         "resume under a held journal lock must be rejected"
     );
     drop(held);
@@ -232,7 +268,11 @@ fn concurrent_resumes_of_one_journal_are_rejected() {
 fn a_non_journal_file_is_rejected_not_misread() {
     let path = journal_path("not-a-journal");
     std::fs::write(&path, b"definitely not a journal").expect("write");
-    let err = resume_campaign(&path, 2, &CheckpointOptions::default());
+    let err = Campaign {
+        workers: 2,
+        ..Campaign::default()
+    }
+    .resume(&path, &CheckpointOptions::default());
     assert!(err.is_err(), "foreign file must be rejected");
     std::fs::remove_file(&path).ok();
 }
@@ -242,14 +282,13 @@ fn checkpointed_reduction_replays_witnesses_and_stays_identical() {
     let files = seeds::all();
     let config = config();
     let path = journal_path("reduction");
-    let report = run_campaign_checkpointed(
-        &files,
-        &config,
-        2,
-        &path,
-        &CheckpointOptions::default(),
-    )
+    let report = Campaign {
+        workers: 2,
+        ..Campaign::default()
+    }
+    .run_journaled(&files, &config, &path, &CheckpointOptions::default(), None)
     .expect("campaign")
+    .status
     .into_report()
     .expect("completed");
     assert!(!report.findings.is_empty());
@@ -262,7 +301,12 @@ fn checkpointed_reduction_replays_witnesses_and_stays_identical() {
     reduce_findings(&mut reference, &options, 4);
     // Checkpointed pass, journal-extended.
     let mut checkpointed = report.clone();
-    reduce_findings_checkpointed(&mut checkpointed, &options, 4, &path).expect("reduce");
+    Campaign {
+        workers: 4,
+        ..Campaign::default()
+    }
+    .reduce(&mut checkpointed, &options, Some(path.as_path()))
+    .expect("reduce");
     assert_eq!(checkpointed, reference);
     // Drop a few Reduced records off the tail (a crash mid-reduction)
     // and re-run on a fresh copy: replayed witnesses + recomputed
@@ -270,14 +314,24 @@ fn checkpointed_reduction_replays_witnesses_and_stays_identical() {
     let bytes = std::fs::read(&path).expect("journal bytes");
     std::fs::write(&path, &bytes[..bytes.len() - 100]).expect("truncate");
     let mut resumed = report.clone();
-    reduce_findings_checkpointed(&mut resumed, &options, 3, &path).expect("reduce resumed");
+    Campaign {
+        workers: 3,
+        ..Campaign::default()
+    }
+    .reduce(&mut resumed, &options, Some(path.as_path()))
+    .expect("reduce resumed");
     assert_eq!(resumed, reference);
     // A report that does not match the journal's recorded findings must
     // be rejected, not silently attached to the wrong witnesses.
     let mut mismatched = report.clone();
     mismatched.findings[0].signature = "some other campaign's finding".into();
     assert!(
-        reduce_findings_checkpointed(&mut mismatched, &options, 2, &path).is_err(),
+        Campaign {
+            workers: 2,
+            ..Campaign::default()
+        }
+        .reduce(&mut mismatched, &options, Some(path.as_path()))
+        .is_err(),
         "signature mismatch must be a Foreign error"
     );
     // Resuming the reduction under different options must also be
@@ -285,18 +339,147 @@ fn checkpointed_reduction_replays_witnesses_and_stays_identical() {
     // options, and a mixture would match no uninterrupted run.
     let mut drifted = report.clone();
     assert!(
-        reduce_findings_checkpointed(
+        Campaign {
+            workers: 2,
+            ..Campaign::default()
+        }
+        .reduce(
             &mut drifted,
             &ReductionOptions {
                 fuel: options.fuel * 2,
                 ..options
             },
-            2,
-            &path
+            Some(path.as_path()),
         )
         .is_err(),
         "reduction-option drift must be a Foreign error"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// The in-process simulator under a chosen backend id, counting the
+/// observations it serves.
+struct Counting {
+    id: &'static str,
+    calls: AtomicUsize,
+}
+
+impl Counting {
+    fn new(id: &'static str) -> Counting {
+        Counting {
+            id,
+            calls: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl CompilerBackend for Counting {
+    fn id(&self) -> &str {
+        self.id
+    }
+
+    fn config_hash(&self) -> u64 {
+        SimccBackend.config_hash()
+    }
+
+    fn observe_config(
+        &self,
+        source: &str,
+        cc: Compiler,
+        wrong_code_fuel: Option<u64>,
+    ) -> Result<Observation, BackendError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        SimccBackend.observe_config(source, cc, wrong_code_fuel)
+    }
+}
+
+#[test]
+fn backend_dispatched_reduction_matches_the_in_process_reduction() {
+    let files = seeds::all();
+    let config = config();
+    let path = journal_path("backend-reduction");
+    let backend = Campaign {
+        workers: 2,
+        oracle: OraclePath::Backend(&SimccBackend),
+        ..Campaign::default()
+    };
+    // Kill the campaign, then resume it to completion, all through the
+    // backend.
+    let mut status = backend
+        .run_journaled(
+            &files,
+            &config,
+            &path,
+            &CheckpointOptions {
+                every: 8,
+                stop_after: Some(40),
+            },
+            None,
+        )
+        .expect("checkpointed run")
+        .status;
+    assert!(status.is_interrupted());
+    while status.is_interrupted() {
+        status = backend
+            .resume(&path, &CheckpointOptions::default())
+            .expect("resume")
+            .status;
+    }
+    let report = status.into_report().expect("completed");
+    assert_eq!(report, run_campaign(&files, &config));
+    assert!(!report.findings.is_empty());
+    let options = ReductionOptions {
+        fuel: config.fuel,
+        ..ReductionOptions::default()
+    };
+    let mut reference = report.clone();
+    reduce_findings(&mut reference, &options, 4);
+    // In memory, and really dispatched through the backend.
+    let mut in_memory = report.clone();
+    backend
+        .reduce(&mut in_memory, &options, None)
+        .expect("in-memory reduction");
+    assert_eq!(in_memory, reference);
+    let counting = Counting::new(SimccBackend.id());
+    let mut counted = report.clone();
+    Campaign {
+        oracle: OraclePath::Backend(&counting),
+        ..backend
+    }
+    .reduce(&mut counted, &options, None)
+    .expect("in-memory reduction");
+    assert_eq!(counted, reference);
+    assert!(counting.calls.load(Ordering::Relaxed) > 0);
+    // Journaled, then killed mid-reduction (Reduced records dropped off
+    // the tail) and resumed on another worker count.
+    let mut journaled = report.clone();
+    backend
+        .reduce(&mut journaled, &options, Some(path.as_path()))
+        .expect("journaled reduction");
+    assert_eq!(journaled, reference);
+    let bytes = std::fs::read(&path).expect("journal bytes");
+    std::fs::write(&path, &bytes[..bytes.len() - 100]).expect("truncate");
+    let mut resumed = report.clone();
+    Campaign {
+        workers: 3,
+        ..backend
+    }
+    .reduce(&mut resumed, &options, Some(path.as_path()))
+    .expect("resumed reduction");
+    assert_eq!(resumed, reference);
+    // The journal was recorded under the in-process backend's id: a
+    // reduction through another backend must be refused, and the report
+    // left untouched.
+    let mut refused = report.clone();
+    let renamed = Counting::new("renamed-simcc");
+    let err = Campaign {
+        oracle: OraclePath::Backend(&renamed),
+        ..backend
+    }
+    .reduce(&mut refused, &options, Some(path.as_path()))
+    .expect_err("foreign backend");
+    assert!(matches!(err, CheckpointError::Foreign(_)), "{err}");
+    assert_eq!(refused, report);
     std::fs::remove_file(&path).ok();
 }
 
@@ -320,13 +503,18 @@ proptest! {
         let config = config();
         let reference = run_campaign(&files, &config);
         let path = journal_path(&format!("prop-{seed}-{stop}-{every}-{workers}-{resume_workers}"));
-        let status = run_campaign_checkpointed(
+        let status = Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .run_journaled(
             &files,
             &config,
-            workers,
             &path,
             &CheckpointOptions { every, stop_after: Some(stop) },
-        ).expect("checkpointed run");
+            None,
+        ).expect("checkpointed run")
+        .status;
         let report = match status {
             CampaignStatus::Complete(r) => r,
             CampaignStatus::Interrupted => resume_to_completion(&path, resume_workers, Some(stop)),

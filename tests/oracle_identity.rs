@@ -14,11 +14,9 @@
 use proptest::prelude::*;
 use spe::core::Algorithm;
 use spe::corpus::{generate, seeds, CorpusConfig};
-use spe::harness::checkpoint::{
-    resume_campaign_with_path, run_campaign_checkpointed_with_path, CheckpointOptions,
-};
+use spe::harness::checkpoint::CheckpointOptions;
 use spe::harness::{
-    run_campaign_parallel_with_path, run_campaign_with_path, CampaignConfig, OraclePath,
+    run_campaign, run_campaign_parallel_with_path, Campaign, CampaignConfig, OraclePath,
 };
 use spe::simcc::{Compiler, CompilerId};
 
@@ -57,9 +55,13 @@ fn incremental_matches_round_trip_on_all_seeds_and_algorithms() {
     for algorithm in ALGORITHMS {
         for check_wrong_code in [true, false] {
             let config = campaign_config(algorithm, check_wrong_code);
-            let round_trip = run_campaign_with_path(&files, &config, OraclePath::RoundTrip);
+            let round_trip = Campaign {
+                oracle: OraclePath::RoundTrip,
+                ..Campaign::default()
+            }
+            .run(&files, &config);
             assert_eq!(
-                run_campaign_with_path(&files, &config, OraclePath::Incremental),
+                run_campaign(&files, &config),
                 round_trip,
                 "serial diverged: {algorithm:?} wrong_code={check_wrong_code}"
             );
@@ -87,9 +89,13 @@ proptest! {
         let files = generate(&CorpusConfig { files: 3, seed });
         for algorithm in ALGORITHMS {
             let config = campaign_config(algorithm, true);
-            let round_trip = run_campaign_with_path(&files, &config, OraclePath::RoundTrip);
+            let round_trip = Campaign {
+                oracle: OraclePath::RoundTrip,
+                ..Campaign::default()
+            }
+            .run(&files, &config);
             prop_assert_eq!(
-                &run_campaign_with_path(&files, &config, OraclePath::Incremental),
+                &run_campaign(&files, &config),
                 &round_trip
             );
             for workers in [1usize, 2, 4, 16] {
@@ -117,24 +123,33 @@ proptest! {
 fn killed_and_resumed_campaign_alternates_oracle_paths() {
     let files = seeds::all();
     let config = campaign_config(Algorithm::Paper, true);
-    let reference = run_campaign_with_path(&files, &config, OraclePath::RoundTrip);
+    let reference = Campaign {
+        oracle: OraclePath::RoundTrip,
+        ..Campaign::default()
+    }
+    .run(&files, &config);
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("oracle-identity");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let journal = dir.join("campaign.journal");
 
-    let mut status = run_campaign_checkpointed_with_path(
+    let mut status = Campaign {
+        workers: 4,
+        oracle: OraclePath::Incremental,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        4,
         &journal,
         &CheckpointOptions {
             every: 16,
             stop_after: Some(40),
         },
-        OraclePath::Incremental,
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted(), "stop_after should have fired");
     let mut cycles = 0;
     while status.is_interrupted() {
@@ -145,16 +160,20 @@ fn killed_and_resumed_campaign_alternates_oracle_paths() {
         } else {
             OraclePath::RoundTrip
         };
-        status = resume_campaign_with_path(
+        status = Campaign {
+            workers: 1 + cycles % 3,
+            oracle: path,
+            ..Campaign::default()
+        }
+        .resume(
             &journal,
-            1 + cycles % 3,
             &CheckpointOptions {
                 every: 16,
                 stop_after: Some(60),
             },
-            path,
         )
-        .expect("resume");
+        .expect("resume")
+        .status;
     }
     let report = status.into_report().expect("complete");
     assert_eq!(

@@ -16,13 +16,12 @@
 use proptest::prelude::*;
 use spe::corpus::{generate, seeds, CorpusConfig};
 use spe::harness::checkpoint::{
-    compact_journal, compact_journal_abandoned, resume_campaign, resume_campaign_with_backend,
-    run_campaign_checkpointed, CampaignStatus, CheckpointOptions,
+    compact_journal, compact_journal_abandoned, CampaignStatus, CheckpointOptions,
 };
-use spe::harness::orchestrate::{self, FaultPolicy};
+use spe::harness::orchestrate::FaultPolicy;
 use spe::harness::{
-    run_campaign, run_campaign_parallel, run_campaign_parallel_with_backend, CampaignConfig,
-    CampaignReport, FindingKind,
+    run_campaign, run_campaign_parallel, run_campaign_parallel_with_path, Campaign, CampaignConfig,
+    CampaignReport, FindingKind, OraclePath,
 };
 use spe::persist::{CorruptionReason, JournalIter, JournalReader};
 use spe::simcc::backend::{BackendError, CompilerBackend, SimccBackend};
@@ -71,16 +70,19 @@ fn assert_iter_matches_reader(path: &Path) {
 
 fn resume_to_completion(path: &Path, workers: usize) -> CampaignReport {
     for _ in 0..32 {
-        match resume_campaign(
-            path,
+        let resumed = Campaign {
             workers,
+            ..Campaign::default()
+        }
+        .resume(
+            path,
             &CheckpointOptions {
                 every: 8,
                 stop_after: None,
             },
         )
-        .expect("resume")
-        {
+        .expect("resume");
+        match resumed.status {
             CampaignStatus::Complete(report) => return report,
             CampaignStatus::Interrupted => {}
         }
@@ -137,7 +139,12 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
         // The in-memory parallel run shares the checkpointed run's job
         // decomposition (shards_per_file = workers), so it is the exact
         // reference for this worker count.
-        let reference = run_campaign_parallel_with_backend(&files, &config, &PanickyBackend, workers);
+        let reference = run_campaign_parallel_with_path(
+            &files,
+            &config,
+            workers,
+            OraclePath::Backend(&PanickyBackend),
+        );
         let panicked = reference
             .findings
             .iter()
@@ -150,17 +157,20 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
 
         // Uninterrupted checkpointed run: same quarantine, same report.
         let path = journal_path(&format!("panic-uninterrupted-{workers}"));
-        let outcome = orchestrate::campaign_checkpointed_with_backend(
+        let outcome = Campaign {
+            workers,
+            oracle: OraclePath::Backend(&PanickyBackend),
+            ..Campaign::default()
+        }
+        .run_journaled(
             &files,
             &config,
-            workers,
             &path,
             &CheckpointOptions {
                 every: 8,
                 stop_after: None,
             },
-            &PanickyBackend,
-            &FaultPolicy::default(),
+            None,
         )
         .expect("checkpointed run");
         assert!(outcome.warnings.is_empty(), "no journal faults injected");
@@ -169,13 +179,14 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
 
         // Replaying the finished journal decodes the quarantine markers
         // from disk — the JobPanicked finding round-trips.
-        let replayed = resume_campaign_with_backend(
-            &path,
-            &PanickyBackend,
+        let replayed = Campaign {
             workers,
-            &CheckpointOptions::default(),
-        )
+            oracle: OraclePath::Backend(&PanickyBackend),
+            ..Campaign::default()
+        }
+        .resume(&path, &CheckpointOptions::default())
         .expect("replay")
+        .status
         .into_report()
         .expect("finished journal replays");
         assert_eq!(replayed, reference, "{workers} workers: replay diverged");
@@ -185,17 +196,20 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
         // the decomposition is pinned by the manifest): the panics
         // re-fire at the same variants and the report cannot drift.
         let path = journal_path(&format!("panic-killed-{workers}"));
-        let status = orchestrate::campaign_checkpointed_with_backend(
+        let status = Campaign {
+            workers,
+            oracle: OraclePath::Backend(&PanickyBackend),
+            ..Campaign::default()
+        }
+        .run_journaled(
             &files,
             &config,
-            workers,
             &path,
             &CheckpointOptions {
                 every: 4,
                 stop_after: Some(25),
             },
-            &PanickyBackend,
-            &FaultPolicy::default(),
+            None,
         )
         .expect("checkpointed run")
         .status;
@@ -206,27 +220,35 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
         let report = match status {
             CampaignStatus::Complete(r) => r,
             CampaignStatus::Interrupted => {
-                let mut status = resume_campaign_with_backend(
+                let mut status = Campaign {
+                    workers: resume_workers,
+                    oracle: OraclePath::Backend(&PanickyBackend),
+                    ..Campaign::default()
+                }
+                .resume(
                     &path,
-                    &PanickyBackend,
-                    resume_workers,
                     &CheckpointOptions {
                         every: 4,
                         stop_after: None,
                     },
                 )
-                .expect("resume");
+                .expect("resume")
+                .status;
                 while status.is_interrupted() {
-                    status = resume_campaign_with_backend(
+                    status = Campaign {
+                        workers: resume_workers,
+                        oracle: OraclePath::Backend(&PanickyBackend),
+                        ..Campaign::default()
+                    }
+                    .resume(
                         &path,
-                        &PanickyBackend,
-                        resume_workers,
                         &CheckpointOptions {
                             every: 4,
                             stop_after: None,
                         },
                     )
-                    .expect("resume");
+                    .expect("resume")
+                    .status;
                 }
                 status.into_report().expect("complete")
             }
@@ -251,20 +273,24 @@ fn exhausted_append_retries_degrade_to_checkpointless_completion() {
     // checkpoint append fails, the sink degrades once, and the campaign
     // must still complete in memory with an identical report.
     spe::persist::journal::faults::inject_append_failures(tag, 10_000, 28);
-    let outcome = orchestrate::campaign_checkpointed(
+    let outcome = Campaign {
+        workers: 2,
+        policy: FaultPolicy {
+            checkpoint_interval: None,
+            max_append_retries: 2,
+            retry_backoff: Duration::from_millis(1),
+        },
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        2,
         &path,
         &CheckpointOptions {
             every: 2,
             stop_after: None,
         },
-        &FaultPolicy {
-            checkpoint_interval: None,
-            max_append_retries: 2,
-            retry_backoff: Duration::from_millis(1),
-        },
+        None,
     )
     .expect("journal creation itself is not fault-injected");
     assert_eq!(
@@ -290,17 +316,20 @@ fn exhausted_append_retries_degrade_to_checkpointless_completion() {
     // manifest) and stays resumable; the still-armed injections make the
     // resume degrade the same way, and it recomputes everything.
     assert_iter_matches_reader(&path);
-    let resumed = orchestrate::resume(
-        &path,
-        2,
-        &CheckpointOptions {
-            every: 2,
-            stop_after: None,
-        },
-        &FaultPolicy {
+    let resumed = Campaign {
+        workers: 2,
+        policy: FaultPolicy {
             checkpoint_interval: None,
             max_append_retries: 0,
             retry_backoff: Duration::from_millis(1),
+        },
+        ..Campaign::default()
+    }
+    .resume(
+        &path,
+        &CheckpointOptions {
+            every: 2,
+            stop_after: None,
         },
     )
     .expect("resume");
@@ -323,20 +352,24 @@ fn transient_append_faults_are_retried_without_a_trace() {
     // One EIO burst, shorter than the retry budget: the append must
     // succeed on retry and leave a complete journal behind.
     spe::persist::journal::faults::inject_append_failures(tag, 1, 5);
-    let outcome = orchestrate::campaign_checkpointed(
+    let outcome = Campaign {
+        workers: 2,
+        policy: FaultPolicy {
+            checkpoint_interval: None,
+            max_append_retries: 4,
+            retry_backoff: Duration::from_millis(1),
+        },
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        2,
         &path,
         &CheckpointOptions {
             every: 4,
             stop_after: None,
         },
-        &FaultPolicy {
-            checkpoint_interval: None,
-            max_append_retries: 4,
-            retry_backoff: Duration::from_millis(1),
-        },
+        None,
     )
     .expect("checkpointed run");
     assert!(
@@ -378,17 +411,22 @@ fn mid_journal_bit_flips_are_triaged_and_resume_recovers_the_prefix() {
     // survives, everything after the flip is dropped, and the resume
     // recomputes exactly the lost work.
     let path = journal_path("bit-flip-payload");
-    let status = run_campaign_checkpointed(
+    let status = Campaign {
+        workers: 4,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        4,
         &path,
         &CheckpointOptions {
             every: 1,
             stop_after: Some(40),
         },
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted());
     let (_, first_record_end) = first_frame_offsets(&path);
     let mut bytes = std::fs::read(&path).expect("journal bytes");
@@ -417,17 +455,22 @@ fn mid_journal_bit_flips_are_triaged_and_resume_recovers_the_prefix() {
     // Flip the high byte of a frame *length* field instead: triaged as
     // an oversized length, same recovery.
     let path = journal_path("bit-flip-length");
-    let status = run_campaign_checkpointed(
+    let status = Campaign {
+        workers: 4,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        4,
         &path,
         &CheckpointOptions {
             every: 1,
             stop_after: Some(40),
         },
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted());
     let (after_header, _) = first_frame_offsets(&path);
     let mut bytes = std::fs::read(&path).expect("journal bytes");
@@ -467,17 +510,22 @@ fn a_kill_during_compaction_leaves_the_original_resumable() {
     let config = config();
     let reference = run_campaign(&files, &config);
     let path = journal_path("compact-killed");
-    let status = run_campaign_checkpointed(
+    let status = Campaign {
+        workers: 4,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        4,
         &path,
         &CheckpointOptions {
             every: 1,
             stop_after: Some(60),
         },
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted());
     let original = std::fs::read(&path).expect("journal bytes");
 
@@ -507,17 +555,22 @@ fn compaction_folds_frames_and_preserves_resume_identity() {
     let config = config();
     let reference = run_campaign(&files, &config);
     let path = journal_path("compact-complete");
-    let status = run_campaign_checkpointed(
+    let status = Campaign {
+        workers: 4,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        4,
         &path,
         &CheckpointOptions {
             every: 1,
             stop_after: Some(60),
         },
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(status.is_interrupted());
 
     let stats = compact_journal(&path).expect("compaction");
@@ -571,13 +624,18 @@ proptest! {
         let config = config();
         let reference = run_campaign(&files, &config);
         let path = journal_path(&format!("prop-compact-{seed}-{stop}-{every}-{workers}"));
-        let status = run_campaign_checkpointed(
+        let status = Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .run_journaled(
             &files,
             &config,
-            workers,
             &path,
             &CheckpointOptions { every, stop_after: Some(stop) },
-        ).expect("checkpointed run");
+            None,
+        ).expect("checkpointed run")
+        .status;
         let report = match status {
             CampaignStatus::Complete(r) => r,
             CampaignStatus::Interrupted => {

@@ -7,10 +7,8 @@
 //! One test, alone in its binary: the measurement uses a process-global
 //! counting allocator, and sibling tests would pollute the peaks.
 
-use spe::harness::checkpoint::{
-    resume_campaign, run_campaign_checkpointed, CampaignStatus, CheckpointOptions,
-};
-use spe::harness::CampaignConfig;
+use spe::harness::checkpoint::{CampaignStatus, CheckpointOptions};
+use spe::harness::{Campaign, CampaignConfig};
 use spe::persist::{JournalIter, JournalReader};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,17 +83,22 @@ fn streaming_resume_stays_flat_over_a_multi_thousand_frame_journal() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("resume-memory");
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let path = dir.join("wide.journal");
-    let status = run_campaign_checkpointed(
+    let status = Campaign {
+        workers: 1,
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        1,
         &path,
         &CheckpointOptions {
             every: 1,
             stop_after: None,
         },
+        None,
     )
-    .expect("checkpointed run");
+    .expect("checkpointed run")
+    .status;
     assert!(matches!(status, CampaignStatus::Complete(_)));
 
     // Count frames by streaming — materializing here would defeat the
@@ -117,7 +120,13 @@ fn streaming_resume_stays_flat_over_a_multi_thousand_frame_journal() {
     // by live job state (one job here), far under both the materialized
     // read and the journal's own size.
     let (resumed, resume_peak) = measure(|| {
-        resume_campaign(&path, 1, &CheckpointOptions::default()).expect("resume")
+        Campaign {
+            workers: 1,
+            ..Campaign::default()
+        }
+        .resume(&path, &CheckpointOptions::default())
+        .expect("resume")
+        .status
     });
     let report = match resumed {
         CampaignStatus::Complete(report) => report,

@@ -12,10 +12,8 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use spe::corpus::{generate, seeds, CorpusConfig};
-use spe::harness::checkpoint::{
-    resume_campaign, run_campaign_checkpointed, CampaignStatus, CheckpointOptions,
-};
-use spe::harness::{run_campaign_parallel, CampaignConfig, CampaignReport};
+use spe::harness::checkpoint::{CampaignStatus, CheckpointOptions};
+use spe::harness::{run_campaign_parallel, Campaign, CampaignConfig, CampaignReport};
 use spe::simcc::{Compiler, CompilerId};
 use spe::telemetry::{names, Recorder};
 
@@ -88,25 +86,35 @@ fn instrumented_kill_resume_cycle_is_byte_identical() {
                 / config.compilers.len().max(1) as u64
                 / 2)
             .max(1);
-            let status = run_campaign_checkpointed(
+            let status = Campaign {
+                workers,
+                ..Campaign::default()
+            }
+            .run_journaled(
                 &files,
                 &config,
-                workers,
                 &path,
                 &CheckpointOptions {
                     every: 16,
                     stop_after: Some(stop_after),
                 },
+                None,
             )
-            .expect("journal is writable");
+            .expect("journal is writable")
+            .status;
             assert!(
                 matches!(status, CampaignStatus::Interrupted),
                 "kill budget must preempt the campaign"
             );
-            resume_campaign(&path, workers, &CheckpointOptions::default())
-                .expect("journal resumes")
-                .into_report()
-                .expect("resume completes")
+            Campaign {
+                workers,
+                ..Campaign::default()
+            }
+            .resume(&path, &CheckpointOptions::default())
+            .expect("journal resumes")
+            .status
+            .into_report()
+            .expect("resume completes")
         });
         std::fs::remove_file(&path).ok();
         (report, recorder)
