@@ -17,6 +17,8 @@
 //! assert_eq!(naive.log10().floor(), 3.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;

@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod canonical;
 mod combinations;

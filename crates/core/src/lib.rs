@@ -31,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use spe_bignum::BigUint;
 use spe_combinatorics::{
@@ -784,21 +785,11 @@ impl ShardedEnumerator {
         self.shards
     }
 
-    /// The emission-index ranges of each shard for this skeleton:
-    /// `shards()` contiguous, disjoint ranges exactly covering
-    /// `[0, total)`, sized within one variant of each other. Ranges can be
-    /// empty when the space is smaller than the shard count.
-    ///
-    /// Materializes the variant space to size it; callers that also
-    /// stream shards should [`prepare`](Self::prepare) once and use
-    /// [`shard_ranges_prepared`](Self::shard_ranges_prepared) instead of
-    /// paying materialization again here.
-    pub fn shard_ranges(&self, sk: &Skeleton) -> Vec<Range<u64>> {
-        self.shard_ranges_prepared(&self.prepare(sk))
-    }
-
-    /// [`shard_ranges`](Self::shard_ranges) for an already-prepared space
-    /// (no re-materialization).
+    /// The emission-index ranges of each shard of a
+    /// [`prepare`](Self::prepare)d space: `shards()` contiguous, disjoint
+    /// ranges exactly covering `[0, total)`, sized within one variant of
+    /// each other. Ranges can be empty when the space is smaller than the
+    /// shard count.
     pub fn shard_ranges_prepared(&self, space: &VariantSpace) -> Vec<Range<u64>> {
         self.ranges_for_total(space.total(self.config.budget))
     }
@@ -839,8 +830,12 @@ impl ShardedEnumerator {
         }
     }
 
-    /// Streams one shard of an already-[`prepare`](Self::prepare)d space,
-    /// with the same contract as [`ShardedEnumerator::enumerate_shard`].
+    /// Streams one shard of an already-[`prepare`](Self::prepare)d space
+    /// serially through `visit` — the entry point for worker pools (each
+    /// worker picks a shard index and enumerates only that slice).
+    /// `emitted` counts this shard's variants; `truncated` reports the
+    /// global budget cut or an early break, exactly as for
+    /// [`Enumerator::enumerate`].
     ///
     /// # Panics
     ///
@@ -854,15 +849,7 @@ impl ShardedEnumerator {
     where
         F: FnMut(&Variant) -> ControlFlow<()>,
     {
-        assert!(shard < self.shards, "shard {shard} out of {}", self.shards);
-        let mut truncated = space.truncated;
-        let total = space.total_with(self.config.budget, &mut truncated);
-        let range = self.ranges_for_total(total).swap_remove(shard);
-        let (emitted, broke) = space.stream_range(range, None, visit);
-        EnumerationOutcome {
-            emitted,
-            truncated: truncated || broke,
-        }
+        self.enumerate_shard_resumed_prepared(space, shard, 0, visit)
     }
 
     /// Streams one shard of a prepared space **starting `skip` variants
@@ -909,33 +896,6 @@ impl ShardedEnumerator {
         (0..self.shards as u128)
             .map(|i| cut(i)..cut(i + 1))
             .collect()
-    }
-
-    /// Streams one shard serially through `visit` — the resumption entry
-    /// point for external worker pools (each worker picks a shard index
-    /// and enumerates only that slice). `emitted` counts this shard's
-    /// variants; `truncated` reports the global budget cut or an early
-    /// break, exactly as for [`Enumerator::enumerate`].
-    ///
-    /// Convenience that materializes the space per call: a pool running
-    /// several shards of one skeleton should [`prepare`](Self::prepare)
-    /// once and call
-    /// [`enumerate_shard_prepared`](Self::enumerate_shard_prepared) per
-    /// shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shards()`.
-    pub fn enumerate_shard<F>(
-        &self,
-        sk: &Skeleton,
-        shard: usize,
-        visit: &mut F,
-    ) -> EnumerationOutcome
-    where
-        F: FnMut(&Variant) -> ControlFlow<()>,
-    {
-        self.enumerate_shard_prepared(&self.prepare(sk), shard, visit)
     }
 
     /// Enumerates the whole space with one thread per shard.
@@ -1345,7 +1305,7 @@ mod tests {
         let sk = fig1();
         for shards in 1..=9usize {
             let e = ShardedEnumerator::new(EnumeratorConfig::default(), shards);
-            let ranges = e.shard_ranges(&sk);
+            let ranges = e.shard_ranges_prepared(&e.prepare(&sk));
             assert_eq!(ranges.len(), shards);
             assert_eq!(ranges[0].start, 0);
             assert_eq!(ranges[ranges.len() - 1].end, 64);

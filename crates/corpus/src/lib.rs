@@ -19,6 +19,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -6,6 +6,8 @@
 //! `bin/all` regenerates everything and emits the Markdown recorded in
 //! `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
+
 use spe_bignum::BigUint;
 use spe_core::{naive_count, spe_count, Granularity, Skeleton};
 use spe_corpus::{generate, seeds, stats, CorpusConfig, TestFile};

@@ -48,8 +48,7 @@
 //! often) the campaign was killed. `DESIGN.md` §9 spells the argument
 //! out.
 
-use crate::reduction::{attach_and_dedup, reduce_one_isolated, ReducedWitness, ReductionOptions};
-use crate::steal::WorkQueue;
+use crate::reduction::{attach_and_dedup, reduce_pool, ReducedWitness, ReductionOptions};
 use crate::{CampaignConfig, CampaignReport, Finding, FindingKind, OraclePath, ShardOutput};
 use spe_core::Algorithm;
 use spe_corpus::TestFile;
@@ -58,7 +57,6 @@ use spe_simcc::{bugs, Compiler, CompilerId};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Errors of checkpointed runs and resumes.
@@ -201,6 +199,19 @@ fn intern_family(family: &str, version: u32) -> Result<CompilerId, CheckpointErr
     }
 }
 
+/// Decodes a compiler configuration (family, version, optimization
+/// level), refusing a level [`Compiler::new`] would panic on.
+fn decode_compiler(dec: &mut Decoder) -> Result<Compiler, CheckpointError> {
+    let family = dec.str()?;
+    let id = intern_family(&family, dec.u32()?)?;
+    match dec.u8()? {
+        opt @ 0..=3 => Ok(Compiler::new(id, opt)),
+        opt => Err(CheckpointError::Foreign(format!(
+            "optimization level {opt}"
+        ))),
+    }
+}
+
 fn encode_finding(enc: &mut Encoder, f: &Finding) {
     enc.u8(match f.kind {
         FindingKind::Crash => 0,
@@ -223,9 +234,7 @@ fn decode_finding(dec: &mut Decoder) -> Result<Finding, CheckpointError> {
         4 => FindingKind::JobPanicked,
         _ => return Err(CheckpointError::Foreign("finding kind tag".into())),
     };
-    let family = dec.str()?;
-    let compiler = intern_family(&family, dec.u32()?)?;
-    let opt = dec.u8()?;
+    let cc = decode_compiler(dec)?;
     let signature = dec.str()?;
     let bug_id = match dec.opt_str()? {
         Some(id) => Some(intern_bug_id(&id)?),
@@ -233,8 +242,8 @@ fn decode_finding(dec: &mut Decoder) -> Result<Finding, CheckpointError> {
     };
     Ok(Finding {
         kind,
-        compiler,
-        opt,
+        compiler: cc.id(),
+        opt: cc.opt(),
         signature,
         bug_id,
         file: dec.str()?,
@@ -402,9 +411,7 @@ impl Manifest {
         let mut dec = Decoder::new(bytes);
         let mut compilers = Vec::new();
         for _ in 0..dec.usize()? {
-            let family = dec.str()?;
-            let id = intern_family(&family, dec.u32()?)?;
-            compilers.push(Compiler::new(id, dec.u8()?));
+            compilers.push(decode_compiler(&mut dec)?);
         }
         let budget = dec.usize()?;
         let algorithm = *ALGORITHMS
@@ -833,43 +840,13 @@ pub(crate) fn reduce_journaled(
             journal.append(&encode_reduction_options(options))?;
         }
         let journal = Mutex::new(journal);
-        let failure: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let stop = AtomicBool::new(false);
-        let fresh: Mutex<Vec<(usize, Option<ReducedWitness>)>> = Mutex::new(Vec::new());
-        let workers = workers.clamp(1, missing.len());
-        let queue = WorkQueue::new(missing, workers);
         let findings = &report.findings;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let journal = &journal;
-                let failure = &failure;
-                let stop = &stop;
-                let fresh = &fresh;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(w) {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let witness = reduce_one_isolated(&findings[i], options, oracle);
-                        let frame = encode_reduced(i, &findings[i].signature, &witness);
-                        if let Err(e) = journal.lock().expect("poisoned").append(&frame) {
-                            let mut slot = failure.lock().expect("poisoned");
-                            if slot.is_none() {
-                                *slot = Some(e.into());
-                            }
-                            stop.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        fresh.lock().expect("poisoned").push((i, witness));
-                    }
-                });
-            }
-        });
-        if let Some(e) = failure.into_inner().expect("poisoned") {
-            return Err(e);
-        }
-        for (i, witness) in fresh.into_inner().expect("poisoned") {
+        let commit = |i: usize, witness: &Option<ReducedWitness>| {
+            let frame = encode_reduced(i, &findings[i].signature, witness);
+            journal.lock().expect("poisoned").append(&frame)
+        };
+        for (i, witness) in reduce_pool(findings, missing, options, workers, oracle, Some(&commit))?
+        {
             slots[i] = Some(witness);
         }
     }

@@ -32,15 +32,16 @@
 //!   journals (`DESIGN.md` §14).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use spe_core::{
     Algorithm, EnumeratorConfig, Granularity, NameId, ShardedEnumerator, Skeleton, Variant,
     VariantSpace,
 };
 use spe_corpus::TestFile;
-use spe_simcc::backend::{intern, BackendError, CompilerBackend};
+use spe_simcc::backend::{intern, BackendError, CompilerBackend, SimccBackend};
 use spe_simcc::incremental::{CacheStats, CachedOracle};
-use spe_simcc::{interp, CompileError, Compiler, CompilerId, Observation};
+use spe_simcc::{Compiler, CompilerId, Observation};
 use spe_telemetry::{names, Sink as TelemetrySink, Timer};
 use std::collections::HashMap;
 use std::fmt;
@@ -63,15 +64,19 @@ pub use fleet::{
 pub use orchestrate::{Campaign, FaultPolicy, Outcome};
 pub use reduction::ReducedWitness;
 
-/// How a campaign reaches its oracle. The two in-process strategies
-/// produce byte-identical [`CampaignReport`]s on the same inputs (pinned
-/// by `tests/oracle_identity.rs` at every worker count, including
-/// kill/resume histories that alternate them) and differ only in speed;
-/// [`OraclePath::Backend`] dispatches through any [`CompilerBackend`],
-/// and with the in-process [`spe_simcc::backend::SimccBackend`] it is
-/// byte-identical to the round trip (`tests/backend_identity.rs`).
-/// Keeping the round trip intact is what makes both suites real
-/// two-implementation comparisons.
+/// How a campaign reaches its oracle. Every observation comes from one
+/// of two independent verdict computations: the incremental splice
+/// oracle ([`CachedOracle`]), or a [`CompilerBackend`] observing the
+/// rendered source — [`SimccBackend`] (parse, then `Compiler::compile`
+/// per configuration) for [`OraclePath::RoundTrip`] and for incremental
+/// jobs that fall back. The two in-process paths produce byte-identical
+/// [`CampaignReport`]s on the same inputs and differ only in speed:
+/// `tests/oracle_identity.rs` pins that at every worker count, including
+/// kill/resume histories that alternate them, and
+/// `tests/backend_identity.rs` pins the incremental path against
+/// [`OraclePath::Backend`]`(&SimccBackend)`. Reduction re-checks
+/// shrunk programs, not variants, so on both in-process paths it calls
+/// `Compiler::observe` on the parsed candidate directly.
 #[derive(Clone, Copy, Default)]
 pub enum OraclePath<'a> {
     /// Splice-don't-reparse ([`spe_simcc::incremental`]): each (file,
@@ -84,10 +89,9 @@ pub enum OraclePath<'a> {
     /// campaign can alternate the two across kill/resume cycles.
     #[default]
     Incremental,
-    /// `spe_simcc` called in-process, no trait dispatch: the historical
-    /// render → lex → parse → compile round trip for every variant. The
-    /// independent witness the identity suites compare against; also
-    /// useful to isolate cache bugs.
+    /// [`SimccBackend`]: the render → lex → parse → compile round trip
+    /// for every variant. The independent witness the identity suites
+    /// compare against; also useful to isolate cache bugs.
     RoundTrip,
     /// Any [`CompilerBackend`], including the in-process one — the way
     /// to fuzz an external compiler. Jobs whose backend persistently
@@ -302,106 +306,28 @@ impl ShardOutput {
     }
 }
 
-/// Runs every compiler over one realized variant, appending candidate
-/// findings and counter deltas to `out`. This is the single shared
-/// per-variant path of the serial and parallel campaigns — they cannot
-/// drift apart.
-fn process_variant(file: &TestFile, src: &str, config: &CampaignConfig, out: &mut ShardOutput) {
-    let Ok(prog) = spe_minic::parse(src) else {
-        return;
-    };
-    let mut reference: Option<Result<interp::Execution, interp::Ub>> = None;
-    for cc in &config.compilers {
-        out.variants_tested += 1;
-        match cc.compile(&prog) {
-            Err(CompileError::Ice(ice)) => {
-                out.candidates.push(Finding::candidate(
-                    FindingKind::Crash,
-                    cc,
-                    ice.signature.to_string(),
-                    Some(ice.bug_id),
-                    file,
-                    src,
-                ));
-            }
-            Err(CompileError::Unsupported(_)) => {}
-            Ok(compiled) => {
-                for slow in &compiled.slow_compile_bugs {
-                    out.candidates.push(Finding::candidate(
-                        FindingKind::Performance,
-                        cc,
-                        format!(
-                            "compile time blow-up in {} at -O{}",
-                            cc.id().family,
-                            cc.opt()
-                        ),
-                        Some(slow),
-                        file,
-                        src,
-                    ));
-                }
-                if config.check_wrong_code {
-                    // Evaluate the reference once per variant, with the
-                    // same limits the reduction oracle re-checks under
-                    // (`spe_simcc::observe` shares these helpers).
-                    if reference.is_none() {
-                        reference = Some(interp::run(
-                            &prog,
-                            spe_simcc::reference_limits(config.fuel),
-                        ));
-                    }
-                    match reference.as_ref().expect("just set") {
-                        Err(_) => {
-                            // UB or non-termination: skip, per §5.4.
-                            out.variants_ub_skipped += 1;
-                        }
-                        Ok(expected) => {
-                            if spe_simcc::differs_from_reference(&compiled, expected, config.fuel)
-                            {
-                                out.candidates.push(Finding::candidate(
-                                    FindingKind::WrongCode,
-                                    cc,
-                                    format!(
-                                        "wrong code: {} at -O{} on {}",
-                                        cc.id().family,
-                                        cc.opt(),
-                                        file.name
-                                    ),
-                                    compiled.miscompiled_by.first().copied(),
-                                    file,
-                                    src,
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
+impl OraclePath<'_> {
+    /// The backend that observes rendered variants on this path:
+    /// [`SimccBackend`] for both in-process paths (the round-trip
+    /// witness, and the incremental path's fallback), the dispatched
+    /// backend otherwise.
+    fn backend(&self) -> &dyn CompilerBackend {
+        match self {
+            OraclePath::Incremental | OraclePath::RoundTrip => &SimccBackend,
+            OraclePath::Backend(b) => *b,
         }
     }
-}
 
-impl OraclePath<'_> {
     /// The backend id recorded in checkpoint-journal manifests.
+    /// Incremental and round trip share [`SimccBackend`]'s id, so their
+    /// journals resume interchangeably.
     pub(crate) fn backend_id(&self) -> String {
-        match self {
-            // Incremental and round trip are two execution strategies of
-            // the same oracle semantics — they share one identity, so
-            // their journals resume interchangeably.
-            OraclePath::Incremental | OraclePath::RoundTrip => {
-                spe_simcc::backend::SIMCC_BACKEND_ID.to_string()
-            }
-            OraclePath::Backend(b) => b.id().to_string(),
-        }
+        self.backend().id().to_string()
     }
 
     /// The backend configuration hash recorded next to the id.
     pub(crate) fn config_hash(&self) -> u64 {
-        match self {
-            OraclePath::Incremental | OraclePath::RoundTrip => {
-                spe_simcc::backend::SIMCC_CONFIG_HASH
-            }
-            OraclePath::Backend(b) => b.config_hash(),
-        }
+        self.backend().config_hash()
     }
 
     /// The per-job incremental session for this oracle, `None` for the
@@ -416,14 +342,15 @@ impl OraclePath<'_> {
         }
     }
 
-    /// Runs every compiler configuration over one rendered variant,
-    /// recording its latency into the per-verdict oracle histogram of
-    /// `telemetry` (`oracle_ns.<verdict>`) when the sink is enabled.
+    /// Runs every compiler configuration over one rendered variant
+    /// through [`Self::backend`], recording its latency into the
+    /// per-verdict oracle histogram of `telemetry`
+    /// (`oracle_ns.<verdict>`) when the sink is enabled.
     ///
     /// # Errors
     ///
-    /// [`BackendError`] (backend dispatch only) when the oracle
-    /// machinery failed; the caller quarantines the work item.
+    /// [`BackendError`] when the backend machinery failed (never for
+    /// [`SimccBackend`]); the caller quarantines the work item.
     pub(crate) fn process_variant(
         &self,
         file: &TestFile,
@@ -432,26 +359,9 @@ impl OraclePath<'_> {
         out: &mut ShardOutput,
         telemetry: &dyn TelemetrySink,
     ) -> Result<(), BackendError> {
-        process_timed(telemetry, out, |out| self.dispatch(file, src, config, out))
-    }
-
-    fn dispatch(
-        &self,
-        file: &TestFile,
-        src: &str,
-        config: &CampaignConfig,
-        out: &mut ShardOutput,
-    ) -> Result<(), BackendError> {
-        match self {
-            // Without a per-job session (a job that fell back), the
-            // incremental oracle degenerates to the round trip — same
-            // semantics, no cache.
-            OraclePath::Incremental | OraclePath::RoundTrip => {
-                process_variant(file, src, config, out);
-                Ok(())
-            }
-            OraclePath::Backend(b) => process_variant_backend(file, src, config, *b, out),
-        }
+        process_timed(telemetry, out, |out| {
+            process_variant_backend(file, src, config, self.backend(), out)
+        })
     }
 }
 
@@ -479,7 +389,7 @@ fn process_timed(
     let nanos = timer.stop_nanos();
     // The verdict drives which latency histogram the observation
     // lands in; a variant producing several findings is classified
-    // by its first (emission order matches the direct path).
+    // by its first, in `emit_observations`' emission order.
     match &result {
         Ok(()) => {
             let verdict = if let Some(f) = out.candidates.get(before.0) {
@@ -511,11 +421,10 @@ fn process_timed(
     result
 }
 
-/// [`process_variant`] through a [`CompilerBackend`]: one
-/// `observe_variant` call per rendered variant, findings constructed
-/// from the returned [`spe_simcc::Observation`]s in the exact emission
-/// order of the direct path (crash, then per-bug performance, then
-/// wrong code, per configuration in order).
+/// Observes one rendered variant through a [`CompilerBackend`]: one
+/// `observe_variant` call, then the findings [`emit_observations`]
+/// makes of the returned [`spe_simcc::Observation`]s. A variant the
+/// backend cannot test (no observations) is skipped without counting.
 fn process_variant_backend(
     file: &TestFile,
     src: &str,
@@ -526,8 +435,8 @@ fn process_variant_backend(
     let fuel = config.check_wrong_code.then_some(config.fuel);
     let observations = backend.observe_variant(src, &config.compilers, fuel)?;
     if observations.is_empty() {
-        // Not a testable program for this backend (parse failure);
-        // skipped without counting, exactly like the direct path.
+        // Not a testable program for this backend (parse failure):
+        // skipped without counting.
         return Ok(());
     }
     if observations.len() != config.compilers.len() {
@@ -543,12 +452,12 @@ fn process_variant_backend(
 }
 
 /// Turns per-configuration [`Observation`]s into findings and counter
-/// deltas, in the exact emission order of the direct path (crash, then
-/// per-bug performance, then wrong code, per configuration in order).
-/// The one emission definition shared by backend dispatch and the
-/// incremental session — the two observation-producing paths cannot
-/// drift apart from each other (and `tests/backend_identity.rs` /
-/// `tests/oracle_identity.rs` pin both against the direct path).
+/// deltas, in a fixed emission order (crash, then per-bug performance,
+/// then wrong code, per configuration in order). The one emission
+/// definition shared by backend dispatch and the incremental session,
+/// so the observations are all two paths can disagree on — and
+/// `tests/oracle_identity.rs` / `tests/backend_identity.rs` pin those
+/// equal.
 fn emit_observations(
     file: &TestFile,
     src: &str,

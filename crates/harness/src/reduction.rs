@@ -39,10 +39,12 @@
 use crate::steal::WorkQueue;
 use crate::{Campaign, CampaignReport, Finding, FindingKind, OraclePath};
 use spe_minic::ast::Program;
+use spe_persist::JournalError;
 use spe_reduce::stmts::stmt_kind_signature;
 use spe_reduce::{reduce, ReduceConfig};
 use spe_simcc::{Compiler, Divergence, Observation};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// A finding's reduced witness plus reduction bookkeeping.
@@ -261,32 +263,12 @@ pub(crate) fn reduce_in_memory(
     let telemetry = spe_telemetry::global();
     let pass_timer = spe_telemetry::Timer::start(&*telemetry);
     let workers = workers.clamp(1, jobs);
-    let slots: Mutex<Vec<Option<ReducedWitness>>> = Mutex::new(vec![None; jobs]);
-    if workers == 1 {
-        let mut slots = slots.lock().expect("poisoned");
-        for (i, f) in report.findings.iter().enumerate() {
-            slots[i] = reduce_one_isolated(f, options, oracle);
-        }
-        drop(slots);
-    } else {
-        let queue = WorkQueue::new((0..jobs).collect(), workers);
-        let findings = &report.findings;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(w) {
-                        // Reduction is a pure function of the finding, so
-                        // completion order cannot affect the report.
-                        let witness = reduce_one_isolated(&findings[i], options, oracle);
-                        slots.lock().expect("poisoned")[i] = witness;
-                    }
-                });
-            }
-        });
+    let mut slots = vec![None; jobs];
+    let all = (0..jobs).collect();
+    let reduced = reduce_pool(&report.findings, all, options, workers, oracle, None);
+    for (i, witness) in reduced.expect("nothing to commit, nothing to fail") {
+        slots[i] = witness;
     }
-    let slots = slots.into_inner().expect("poisoned");
     attach_and_dedup(report, slots);
     if telemetry.enabled() {
         telemetry.span(
@@ -294,6 +276,55 @@ pub(crate) fn reduce_in_memory(
             &format!("findings={jobs} workers={workers}"),
             pass_timer.stop_nanos(),
         );
+    }
+}
+
+/// A per-finding commit of [`reduce_pool`]: called with each finding's
+/// index and witness as soon as it is reduced.
+pub(crate) type Commit<'a> =
+    dyn Fn(usize, &Option<ReducedWitness>) -> Result<(), JournalError> + Sync + 'a;
+
+/// Reduces `findings[i]` for every index in `jobs` on a `workers`-thread
+/// work-stealing pool, and returns the `(index, witness)` pairs in
+/// completion order. Reduction is a pure function of the finding, so
+/// the order cannot affect a report. With a `commit`, each witness is
+/// committed before it is returned; the first failed commit stops the
+/// pool and is returned, and witnesses not yet committed are dropped.
+pub(crate) fn reduce_pool(
+    findings: &[Finding],
+    jobs: Vec<usize>,
+    options: &ReductionOptions,
+    workers: usize,
+    oracle: OraclePath<'_>,
+    commit: Option<&Commit<'_>>,
+) -> Result<Vec<(usize, Option<ReducedWitness>)>, JournalError> {
+    let workers = workers.clamp(1, jobs.len().max(1));
+    let done = Mutex::new(Vec::with_capacity(jobs.len()));
+    let failure = Mutex::new(None);
+    let stop = AtomicBool::new(false);
+    let queue = WorkQueue::new(jobs, workers);
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let (queue, done, failure, stop) = (&queue, &done, &failure, &stop);
+            scope.spawn(move || {
+                while let Some(i) = queue.pop(w) {
+                    if stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let witness = reduce_one_isolated(&findings[i], options, oracle);
+                    if let Some(Err(e)) = commit.map(|commit| commit(i, &witness)) {
+                        failure.lock().expect("poisoned").get_or_insert(e);
+                        stop.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    done.lock().expect("poisoned").push((i, witness));
+                }
+            });
+        }
+    });
+    match failure.into_inner().expect("poisoned") {
+        Some(e) => Err(e),
+        None => Ok(done.into_inner().expect("poisoned")),
     }
 }
 

@@ -27,6 +27,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod parser;

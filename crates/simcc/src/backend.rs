@@ -1,23 +1,24 @@
 //! Pluggable compiler backends behind the differential oracle.
 //!
-//! [`crate::Compiler::observe`] is the single oracle entry point the
-//! campaign harness, the checkpointed driver and the test-case reducer
-//! share: *"what does this compiler configuration do on this program?"*.
-//! This module abstracts **who answers** that question behind the
-//! [`CompilerBackend`] trait, so the same campaign machinery can drive
+//! [`crate::Compiler::observe`] answers *"what does this compiler
+//! configuration do on this program?"* for one parsed program. This
+//! module abstracts **who answers** that question for rendered source
+//! behind the [`CompilerBackend`] trait, so the same campaign machinery
+//! can drive
 //!
-//! * the in-process `simcc` simulator ([`SimccBackend`], the default —
-//!   byte-identical to the direct [`crate::Compiler::observe`] path, as
-//!   pinned by `tests/backend_identity.rs`), or
+//! * the in-process `simcc` simulator ([`SimccBackend`]): parse once,
+//!   then the same observation loop as [`crate::Compiler::observe`] over
+//!   every configuration. It is the harness's round-trip witness
+//!   (`OraclePath::RoundTrip` in `spe-harness` dispatches to it), which
+//!   `tests/oracle_identity.rs` and `tests/backend_identity.rs` pin
+//!   against the incremental splice oracle ([`crate::incremental`]), or
 //! * **external compiler binaries** through the `spe-subproc` crate's
 //!   subprocess backend (process pool, per-job timeouts, exit-code /
 //!   signal / stderr triage, sandboxed scratch dirs — `DESIGN.md` §10).
 //!
-//! Backends are discovered through a [`BackendRegistry`] keyed on the
-//! backend's stable [`CompilerBackend::id`]: adding a backend is one
-//! implementing type plus one [`BackendRegistry::register`] call (the
-//! Trident lowering idiom — one trait, one factory, one registration).
-//! Checkpoint journals record the id together with
+//! Adding a backend is one implementing type, passed to a campaign as
+//! `OraclePath::Backend(&backend)`. Each backend has a stable
+//! [`CompilerBackend::id`]; checkpoint journals record it together with
 //! [`CompilerBackend::config_hash`], so a resumed campaign can *refuse*
 //! to continue under a different oracle instead of silently diverging.
 //!
@@ -117,8 +118,8 @@ pub trait CompilerBackend: Send + Sync {
     ///
     /// The default implementation loops [`Self::observe_config`];
     /// backends amortize per-variant work here (the in-process backend
-    /// parses once and evaluates the reference interpreter once for all
-    /// configurations, exactly like the direct campaign path).
+    /// parses once and evaluates the reference interpreter at most once
+    /// for all configurations).
     ///
     /// # Errors
     ///
@@ -136,16 +137,17 @@ pub trait CompilerBackend: Send + Sync {
     }
 }
 
-/// The in-process `simcc` backend: [`crate::Compiler::observe`] behind
-/// the trait, with **zero behavior change** relative to the harness's
-/// in-process round trip (`OraclePath::RoundTrip` in `spe-harness`) — the
-/// per-variant fast path below is the same parse-once /
-/// reference-once sequence, pinned byte-identical by
-/// `tests/backend_identity.rs`.
+/// The in-process `simcc` backend and the harness's round-trip witness
+/// (`OraclePath::RoundTrip` in `spe-harness`): each variant is parsed
+/// once and observed under every configuration by the loop behind
+/// [`crate::Compiler::observe`], with the reference interpreter run at
+/// most once. An unparsable variant yields no observations (and
+/// [`CompilerBackend::observe_config`] an `unsupported` one). Bumps the
+/// `simcc.observations` and `simcc.parse_rejects` telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimccBackend;
 
-/// The registry id (and manifest backend id) of [`SimccBackend`].
+/// The backend id of [`SimccBackend`], recorded in journal manifests.
 pub const SIMCC_BACKEND_ID: &str = "simcc";
 
 /// The configuration hash of [`SimccBackend`] — the backend is a pure
@@ -168,20 +170,12 @@ impl CompilerBackend for SimccBackend {
         cc: Compiler,
         wrong_code_fuel: Option<u64>,
     ) -> Result<Observation, BackendError> {
-        let telemetry = spe_telemetry::global();
-        match spe_minic::parse(source) {
-            Err(_) => {
-                telemetry.counter(spe_telemetry::names::SIMCC_PARSE_REJECTS, 1);
-                Ok(Observation {
-                    unsupported: true,
-                    ..Observation::default()
-                })
-            }
-            Ok(p) => {
-                telemetry.counter(spe_telemetry::names::SIMCC_OBSERVATIONS, 1);
-                Ok(cc.observe(&p, wrong_code_fuel))
-            }
-        }
+        let mut observed =
+            self.observe_variant(source, std::slice::from_ref(&cc), wrong_code_fuel)?;
+        Ok(observed.pop().unwrap_or(Observation {
+            unsupported: true,
+            ..Observation::default()
+        }))
     }
 
     fn observe_variant(
@@ -196,143 +190,7 @@ impl CompilerBackend for SimccBackend {
             return Ok(Vec::new());
         };
         telemetry.counter(spe_telemetry::names::SIMCC_OBSERVATIONS, compilers.len() as u64);
-        // Parse once, evaluate the reference interpreter at most once:
-        // the same amortization (and the same evaluation order) as the
-        // direct campaign path, so observations — including the
-        // `reference_ub` skip flags — are identical to it.
-        let mut reference: Option<Result<crate::interp::Execution, crate::interp::Ub>> = None;
-        let mut out = Vec::with_capacity(compilers.len());
-        for cc in compilers {
-            out.push(match cc.compile(&prog) {
-                Err(crate::CompileError::Ice(ice)) => Observation {
-                    ice: Some(ice),
-                    ..Observation::default()
-                },
-                Err(crate::CompileError::Unsupported(_)) => Observation {
-                    unsupported: true,
-                    ..Observation::default()
-                },
-                Ok(compiled) => {
-                    let mut obs = Observation {
-                        miscompiled_by: compiled.miscompiled_by.clone(),
-                        slow_compile: compiled.slow_compile_bugs.clone(),
-                        ..Observation::default()
-                    };
-                    if let Some(fuel) = wrong_code_fuel {
-                        if reference.is_none() {
-                            reference =
-                                Some(crate::interp::run(&prog, crate::reference_limits(fuel)));
-                        }
-                        match reference.as_ref().expect("just set") {
-                            Err(_) => obs.reference_ub = true,
-                            Ok(expected) => {
-                                obs.divergence =
-                                    crate::divergence_from_reference(&compiled, expected, fuel);
-                                obs.wrong_code = obs.divergence.is_some();
-                            }
-                        }
-                    }
-                    obs
-                }
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// A backend constructor: builds a boxed backend from an opaque options
-/// string (each backend documents its own syntax; [`SimccBackend`]
-/// ignores it).
-pub type BackendFactory = fn(&str) -> Result<Box<dyn CompilerBackend>, BackendError>;
-
-/// A factory registry of compiler backends, keyed on backend id.
-///
-/// Adding a backend to a tool is one registration:
-///
-/// ```
-/// use spe_simcc::backend::{BackendRegistry, BackendError, CompilerBackend};
-///
-/// let mut registry = BackendRegistry::builtin(); // "simcc" pre-registered
-/// registry
-///     .register("null", |_opts| {
-///         #[derive(Debug)]
-///         struct Null;
-///         impl CompilerBackend for Null {
-///             fn id(&self) -> &str { "null" }
-///             fn config_hash(&self) -> u64 { 0 }
-///             fn observe_config(
-///                 &self,
-///                 _source: &str,
-///                 _cc: spe_simcc::Compiler,
-///                 _fuel: Option<u64>,
-///             ) -> Result<spe_simcc::Observation, BackendError> {
-///                 Ok(spe_simcc::Observation::default())
-///             }
-///         }
-///         Ok(Box::new(Null))
-///     })
-///     .expect("fresh id");
-/// let backend = registry.create("null", "").expect("registered");
-/// assert_eq!(backend.id(), "null");
-/// assert!(registry.ids().any(|id| id == "simcc"));
-/// ```
-#[derive(Default)]
-pub struct BackendRegistry {
-    entries: Vec<(&'static str, BackendFactory)>,
-}
-
-impl BackendRegistry {
-    /// An empty registry.
-    pub fn new() -> BackendRegistry {
-        BackendRegistry::default()
-    }
-
-    /// A registry with the built-in [`SimccBackend`] registered under
-    /// [`SIMCC_BACKEND_ID`].
-    pub fn builtin() -> BackendRegistry {
-        let mut r = BackendRegistry::new();
-        r.register(SIMCC_BACKEND_ID, |_opts| Ok(Box::new(SimccBackend)))
-            .expect("empty registry");
-        r
-    }
-
-    /// Registers a factory under `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when `id` is already taken — ids are the resume
-    /// compatibility key, so shadowing one would be a correctness bug.
-    pub fn register(&mut self, id: &'static str, factory: BackendFactory) -> Result<(), BackendError> {
-        if self.entries.iter().any(|(known, _)| *known == id) {
-            return Err(BackendError::new(format!(
-                "backend id {id:?} already registered"
-            )));
-        }
-        self.entries.push((id, factory));
-        Ok(())
-    }
-
-    /// Instantiates the backend registered under `id` with `options`.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] for an unknown id (the message lists the known
-    /// ones) or when the factory rejects `options`.
-    pub fn create(&self, id: &str, options: &str) -> Result<Box<dyn CompilerBackend>, BackendError> {
-        match self.entries.iter().find(|(known, _)| *known == id) {
-            Some((_, factory)) => factory(options),
-            None => {
-                let known: Vec<&str> = self.entries.iter().map(|(id, _)| *id).collect();
-                Err(BackendError::new(format!(
-                    "unknown backend {id:?} (registered: {known:?})"
-                )))
-            }
-        }
-    }
-
-    /// The registered backend ids, in registration order.
-    pub fn ids(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.entries.iter().map(|(id, _)| *id)
+        Ok(crate::observe_each(&prog, compilers, wrong_code_fuel))
     }
 }
 
@@ -411,24 +269,6 @@ mod tests {
             .observe_config("int main( {", compilers[0], None)
             .expect("skip, not a failure");
         assert!(single.unsupported);
-    }
-
-    #[test]
-    fn registry_creates_and_rejects() {
-        let registry = BackendRegistry::builtin();
-        let backend = registry.create("simcc", "").expect("builtin");
-        assert_eq!(backend.id(), SIMCC_BACKEND_ID);
-        assert_eq!(backend.config_hash(), SIMCC_CONFIG_HASH);
-        let err = match registry.create("no-such-backend", "") {
-            Err(e) => e,
-            Ok(_) => panic!("unknown id must not resolve"),
-        };
-        assert!(err.what.contains("simcc"), "error lists known ids: {err}");
-        let mut registry = registry;
-        let err = registry
-            .register("simcc", |_| Ok(Box::new(SimccBackend)))
-            .expect_err("duplicate id");
-        assert!(err.what.contains("already registered"));
     }
 
     #[test]

@@ -193,9 +193,6 @@ impl Compiler {
     /// [`CompileError::Ice`] when a seeded crash defect triggers;
     /// [`CompileError::Unsupported`] for non-lowerable constructs.
     pub fn compile(&self, p: &Program) -> Result<Compiled, CompileError> {
-        let mut coverage = Coverage::new();
-        structural_coverage(p, &mut coverage);
-
         let live = self.live_bugs();
         // One structural scan answers every live trigger (previously
         // each trigger re-walked the whole AST).
@@ -225,25 +222,15 @@ impl Compiler {
             .filter(|b| matches!(b.kind, BugKind::WrongCode))
             .collect();
 
+        let mut coverage = Coverage::new();
         let mut ctx = passes::PassCtx {
             opt: self.opt,
             wrong_code,
             coverage: &mut coverage,
             miscompiled_by: Vec::new(),
         };
-        let optimized = passes::optimize(p, &mut ctx);
-        let miscompiled_by = std::mem::take(&mut ctx.miscompiled_by);
-
-        coverage.hit("lower", 0);
-        let image = vm::lower(&optimized).map_err(|e| CompileError::Unsupported(e.0))?;
-        coverage.hit("regalloc", 0);
-        coverage.hit("emit", 0);
-        // Backend coverage scales with code-size buckets.
-        let size_bucket = (image.instrs.len() / 16).min(5) as u32;
-        coverage.hit("lower", 1 + size_bucket);
-        coverage.hit("regalloc", 1 + size_bucket.min(6));
-        coverage.hit("emit", 1 + size_bucket.min(4));
-
+        let image = optimize_and_lower(p, &mut ctx).map_err(|e| CompileError::Unsupported(e.0))?;
+        let miscompiled_by = ctx.miscompiled_by;
         Ok(Compiled {
             image,
             coverage,
@@ -251,6 +238,29 @@ impl Compiler {
             slow_compile_bugs,
         })
     }
+}
+
+/// The pipeline [`Compiler::compile`] and [`coverage_probe`] share:
+/// structural coverage, the optimization passes, lowering, then the
+/// back end's size-bucket coverage. `ctx.coverage` keeps the points hit
+/// before a lowering failure.
+fn optimize_and_lower(
+    p: &Program,
+    ctx: &mut passes::PassCtx<'_>,
+) -> Result<vm::Image, vm::LowerError> {
+    structural_coverage(p, ctx.coverage);
+    let optimized = passes::optimize(p, ctx);
+    let coverage = &mut *ctx.coverage;
+    coverage.hit("lower", 0);
+    let image = vm::lower(&optimized)?;
+    coverage.hit("regalloc", 0);
+    coverage.hit("emit", 0);
+    // Backend coverage scales with code-size buckets.
+    let size_bucket = (image.instrs.len() / 16).min(5) as u32;
+    coverage.hit("lower", 1 + size_bucket);
+    coverage.hit("regalloc", 1 + size_bucket.min(6));
+    coverage.hit("emit", 1 + size_bucket.min(4));
+    Ok(image)
 }
 
 /// The bug-relevant outcome of compiling (and, differentially, running)
@@ -316,30 +326,11 @@ pub fn reference_limits(fuel: u64) -> interp::Limits {
     }
 }
 
-/// Differential verdict: whether running `compiled` (with the campaign's
-/// `4 * fuel` VM allowance) disagrees with the UB-free reference
-/// execution `expected` — by exit code, output, or a runtime trap.
-pub fn differs_from_reference(
-    compiled: &Compiled,
-    expected: &interp::Execution,
-    fuel: u64,
-) -> bool {
-    divergence_from_reference(compiled, expected, fuel).is_some()
-}
-
-/// [`differs_from_reference`], classified: *how* the compiled image
-/// disagreed with the reference, `None` when the executions agree.
-pub fn divergence_from_reference(
-    compiled: &Compiled,
-    expected: &interp::Execution,
-    fuel: u64,
-) -> Option<Divergence> {
-    divergence_from_image(&compiled.image, expected, fuel)
-}
-
-/// [`divergence_from_reference`] on a bare VM image — the form the
-/// incremental oracle memoizes (it caches images per pass-pipeline key
-/// rather than whole [`Compiled`] values).
+/// Differential verdict on a VM image: *how* running `image` (with the
+/// campaign's `4 * fuel` VM allowance) disagreed with the UB-free
+/// reference execution `expected` — by exit code, output, or a runtime
+/// trap — or `None` when the executions agree. The incremental oracle
+/// calls it on the images it memoizes per pass-pipeline key.
 pub fn divergence_from_image(
     image: &vm::Image,
     expected: &interp::Execution,
@@ -363,7 +354,26 @@ impl Compiler {
     /// fields are observed — the cheap mode for crash and performance
     /// oracles.
     pub fn observe(&self, p: &Program, wrong_code_fuel: Option<u64>) -> Observation {
-        match self.compile(p) {
+        observe_each(p, std::slice::from_ref(self), wrong_code_fuel)
+            .pop()
+            .expect("one observation per configuration")
+    }
+}
+
+/// Observes `p` under every configuration of `compilers`, in order: the
+/// one observation loop behind [`Compiler::observe`] and
+/// [`backend::SimccBackend`]. The reference interpreter runs at most
+/// once, at the first successful compile that needs it, so every
+/// configuration is compared against the same execution.
+pub(crate) fn observe_each(
+    p: &Program,
+    compilers: &[Compiler],
+    wrong_code_fuel: Option<u64>,
+) -> Vec<Observation> {
+    let mut reference = None;
+    compilers
+        .iter()
+        .map(|cc| match cc.compile(p) {
             Err(CompileError::Ice(ice)) => Observation {
                 ice: Some(ice),
                 ..Observation::default()
@@ -372,26 +382,30 @@ impl Compiler {
                 unsupported: true,
                 ..Observation::default()
             },
-            Ok(compiled) => {
+            Ok(Compiled {
+                image,
+                miscompiled_by,
+                slow_compile_bugs,
+                ..
+            }) => {
                 let mut obs = Observation {
-                    miscompiled_by: compiled.miscompiled_by.clone(),
-                    slow_compile: compiled.slow_compile_bugs.clone(),
+                    miscompiled_by,
+                    slow_compile: slow_compile_bugs,
                     ..Observation::default()
                 };
                 if let Some(fuel) = wrong_code_fuel {
-                    match interp::run(p, reference_limits(fuel)) {
+                    match reference.get_or_insert_with(|| interp::run(p, reference_limits(fuel))) {
                         Err(_) => obs.reference_ub = true,
                         Ok(expected) => {
-                            obs.divergence =
-                                divergence_from_reference(&compiled, &expected, fuel);
+                            obs.divergence = divergence_from_image(&image, expected, fuel);
                             obs.wrong_code = obs.divergence.is_some();
                         }
                     }
                 }
                 obs
             }
-        }
-    }
+        })
+        .collect()
 }
 
 /// Compiles only for coverage: runs the full pipeline with every seeded
@@ -399,23 +413,15 @@ impl Compiler {
 /// Used by the Figure 9 coverage experiments.
 pub fn coverage_probe(p: &Program, opt: u8) -> Coverage {
     let mut coverage = Coverage::new();
-    structural_coverage(p, &mut coverage);
-    let mut ctx = passes::PassCtx {
-        opt,
-        wrong_code: Vec::new(),
-        coverage: &mut coverage,
-        miscompiled_by: Vec::new(),
-    };
-    let optimized = passes::optimize(p, &mut ctx);
-    coverage.hit("lower", 0);
-    if let Ok(image) = vm::lower(&optimized) {
-        coverage.hit("regalloc", 0);
-        coverage.hit("emit", 0);
-        let size_bucket = (image.instrs.len() / 16).min(5) as u32;
-        coverage.hit("lower", 1 + size_bucket);
-        coverage.hit("regalloc", 1 + size_bucket.min(6));
-        coverage.hit("emit", 1 + size_bucket.min(4));
-    }
+    let _ = optimize_and_lower(
+        p,
+        &mut passes::PassCtx {
+            opt,
+            wrong_code: Vec::new(),
+            coverage: &mut coverage,
+            miscompiled_by: Vec::new(),
+        },
+    );
     coverage
 }
 

@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use spe_combinatorics::{FlatInstance, FlatScope, GeneralInstance, PoolRef, ScopedSolution};
 use spe_minic::ast::{OccId, Program, Type};

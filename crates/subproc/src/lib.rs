@@ -72,7 +72,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use spe_simcc::backend::{intern, BackendError, BackendRegistry, CompilerBackend};
+use spe_simcc::backend::{intern, BackendError, CompilerBackend};
 use spe_simcc::{Compiler, Divergence, Ice, Observation};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
@@ -80,7 +80,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Registry id of [`SubprocBackend`].
+/// Backend id of [`SubprocBackend`], recorded in journal manifests.
 pub const SUBPROC_BACKEND_ID: &str = "subproc";
 
 /// Configuration of a [`SubprocBackend`].
@@ -503,46 +503,6 @@ impl Drop for SubprocBackend {
     }
 }
 
-/// Registers the `"subproc"` factory. Factory options are
-/// whitespace-separated: optional leading `timeout_ms=<n>`,
-/// `retries=<n>`, `procs=<n>` settings, then the command and its fixed
-/// arguments — e.g. `"timeout_ms=5000 retries=2 /usr/bin/mycc --spe"`.
-///
-/// # Errors
-///
-/// [`BackendError`] when `"subproc"` is already registered.
-pub fn register(registry: &mut BackendRegistry) -> Result<(), BackendError> {
-    registry.register(SUBPROC_BACKEND_ID, |opts| {
-        let mut config_keys = Vec::new();
-        let mut command = Vec::new();
-        for token in opts.split_whitespace() {
-            if command.is_empty() && token.contains('=') {
-                config_keys.push(token.to_string());
-            } else {
-                command.push(token.to_string());
-            }
-        }
-        let mut config = SubprocConfig::new(command);
-        for kv in config_keys {
-            let (key, value) = kv.split_once('=').expect("filtered above");
-            let parse = |what: &str| {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| BackendError::new(format!("bad {what}: {value:?}")))
-            };
-            match key {
-                "timeout_ms" => config.timeout = Duration::from_millis(parse("timeout_ms")?),
-                "retries" => config.retries = parse("retries")? as u32,
-                "procs" => config.max_processes = parse("procs")?.max(1) as usize,
-                other => {
-                    return Err(BackendError::new(format!("unknown option {other:?}")));
-                }
-            }
-        }
-        Ok(Box::new(SubprocBackend::new(config)?))
-    })
-}
-
 fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
@@ -651,16 +611,6 @@ mod tests {
             "abnormal exit 134" // capital-A Assertion is not in the pattern list
         );
         assert_eq!(crash_signature(3, "quiet\n"), "abnormal exit 3");
-    }
-
-    #[test]
-    fn factory_parses_options_and_rejects_nonsense() {
-        let mut registry = BackendRegistry::new();
-        register(&mut registry).expect("fresh id");
-        assert!(registry.create("subproc", "timeout_ms=250 retries=3 /bin/true -x").is_ok());
-        assert!(registry.create("subproc", "").is_err()); // no command
-        assert!(registry.create("subproc", "frobnicate=1 /bin/true").is_err());
-        assert!(registry.create("subproc", "timeout_ms=banana /bin/true").is_err());
     }
 
     #[test]

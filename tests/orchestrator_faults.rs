@@ -14,17 +14,19 @@
 //! serial run.
 
 use proptest::prelude::*;
-use spe::corpus::{generate, seeds, CorpusConfig};
+use spe::corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe::harness::checkpoint::{
     compact_journal, compact_journal_abandoned, CampaignStatus, CheckpointOptions,
 };
 use spe::harness::orchestrate::FaultPolicy;
 use spe::harness::{
-    run_campaign, run_campaign_parallel, run_campaign_parallel_with_path, Campaign, CampaignConfig,
-    CampaignReport, FindingKind, OraclePath,
+    merge_journals, run_campaign, run_campaign_parallel, run_campaign_parallel_with_path, Campaign,
+    CampaignConfig, CampaignReport, FindingKind, OraclePath,
 };
-use spe::persist::{CorruptionReason, JournalIter, JournalReader};
-use spe::simcc::backend::{BackendError, CompilerBackend, SimccBackend};
+use spe::persist::{CorruptionReason, Encoder, Journal, JournalIter, JournalReader};
+use spe::simcc::backend::{
+    BackendError, CompilerBackend, SimccBackend, SIMCC_BACKEND_ID, SIMCC_CONFIG_HASH,
+};
 use spe::simcc::{Compiler, CompilerId, Observation};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -601,6 +603,81 @@ fn compaction_folds_frames_and_preserves_resume_identity() {
     assert!(stats.frames_after <= stats.frames_before);
     let replayed = resume_to_completion(&path, 4);
     assert_eq!(replayed, reference, "compacted finished journal diverged");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A single-host journal manifest, laid out as the checkpoint layer
+/// writes it: one seed file, one shard, and one trunk gcc-sim
+/// configuration at optimization level `opt`.
+fn manifest_with_opt(file: &TestFile, opt: u8) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.usize(1).str("gcc-sim").u32(700).u8(opt);
+    enc.usize(40) // budget
+        .u8(0) // Algorithm::Paper
+        .bool(true) // check_wrong_code
+        .u64(10_000) // fuel
+        .str(SIMCC_BACKEND_ID)
+        .u64(SIMCC_CONFIG_HASH)
+        .usize(1) // shards per file
+        .usize(1)
+        .str(&file.name)
+        .str(&file.source)
+        .bool(false); // no fleet stamp
+    enc.finish()
+}
+
+/// `Compiler::new` asserts `opt <= 3`. A journal that claims `-O4`,
+/// in its manifest or in a recorded finding, is foreign: resume and
+/// merge must refuse it with an error instead of panicking.
+#[test]
+fn out_of_range_optimization_levels_are_refused_not_panicked_on() {
+    let file = seeds::all().swap_remove(0);
+    let no_panic = |what: &str, f: &dyn Fn() -> bool| {
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .unwrap_or_else(|_| panic!("{what} panicked on an -O4 journal"));
+        assert!(refused, "{what} accepted an -O4 journal");
+    };
+
+    let path = journal_path("opt4-manifest");
+    std::fs::remove_file(&path).ok();
+    drop(Journal::create(&path, &manifest_with_opt(&file, 4)).expect("journal"));
+    no_panic("resume", &|| {
+        Campaign::default()
+            .resume(&path, &CheckpointOptions::default())
+            .is_err()
+    });
+    no_panic("merge", &|| merge_journals(&[&path]).is_err());
+    std::fs::remove_file(&path).ok();
+
+    // A valid manifest whose one progress frame records a finding at -O4.
+    let path = journal_path("opt4-finding");
+    std::fs::remove_file(&path).ok();
+    let mut journal = Journal::create(&path, &manifest_with_opt(&file, 3)).expect("journal");
+    let mut frame = Encoder::new();
+    frame
+        .u8(1) // Progress
+        .u32(0) // job
+        .u64(1) // emitted
+        .bool(true) // file processed
+        .u64(1) // variants tested
+        .u64(0) // UB skips
+        .usize(1); // findings
+    frame
+        .u8(0) // Crash
+        .str("gcc-sim")
+        .u32(700)
+        .u8(4)
+        .str("signature")
+        .opt_str(None)
+        .str(&file.name)
+        .str(&file.source);
+    journal.append(&frame.finish()).expect("append");
+    drop(journal);
+    no_panic("resume", &|| {
+        Campaign::default()
+            .resume(&path, &CheckpointOptions::default())
+            .is_err()
+    });
     std::fs::remove_file(&path).ok();
 }
 
